@@ -4,15 +4,14 @@
 //! serve_load [--users N] [--churn-pool N] [--clients N] [--seconds F]
 //!            [--seed N] [--threads N] [--coalesce N] [--no-churn]
 //!            [--churn-batch N] [--artifact FILE] [--kill-after F]
-//!            [--compact-bytes N] [--smoke] [--contend] [--recover]
+//!            [--compact-bytes N] [--smoke] [--recover] [--help]
 //! ```
 //!
 //! Default mode trains a synthetic posterior and races closed-loop
 //! clients against a background refresh writer, printing sustained QPS
-//! and p50/p90/p99/p999 latency. `--contend` instead compares contended
-//! epoch-handle acquisition through a mutex baseline versus the
-//! lock-free path. `--smoke` is the CI gate: a sub-second run that must
-//! serve without a single error.
+//! and p50/p90/p99/p999 latency. `--smoke` is the CI gate: a sub-second
+//! run that must serve without a single error. `--help` prints the usage
+//! block above.
 //!
 //! `--artifact FILE` makes the run file-backed on the durable path:
 //! every churn commit is fsync'd to the sidecar `FILE.wal` before it
@@ -24,22 +23,33 @@
 //! uninterrupted replay of the same churn waves.
 
 use mlp_bench::load::{self, LoadConfig, LoadMode};
-use std::time::Duration;
 
 fn main() {
     let (config, mode) = LoadConfig::parse_from(std::env::args().skip(1));
+    if mode == LoadMode::Help {
+        println!("{}", usage());
+        return;
+    }
     println!("{}", config.banner());
     run_mode(config, mode);
     println!("peak rss: {}", mlp_bench::peak_rss_display());
 }
 
+/// The usage block (the `text` code block) of this file's module doc.
+fn usage() -> String {
+    include_str!("serve_load.rs")
+        .lines()
+        .map_while(|line| line.strip_prefix("//!"))
+        .skip_while(|line| !line.contains("```text"))
+        .skip(1)
+        .take_while(|line| !line.contains("```"))
+        .map(|line| line.strip_prefix(' ').unwrap_or(line))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 fn run_mode(config: LoadConfig, mode: LoadMode) {
     match mode {
-        LoadMode::Contend => {
-            let window = Duration::from_secs_f64(config.seconds.max(0.05));
-            let report = load::contend(&config, window).expect("contend run");
-            println!("{}", report.summary());
-        }
         LoadMode::Measure => {
             let report = load::run(&config).expect("load run");
             println!("{}", report.summary());
@@ -57,5 +67,6 @@ fn run_mode(config: LoadConfig, mode: LoadMode) {
             println!("{}", summary.summary());
             println!("recover: ok");
         }
+        LoadMode::Help => unreachable!("handled in main"),
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! The paper's evaluation measures model quality; this module measures
 //! the *serving* claims of the engine layer: sustained single-user QPS
-//! under concurrent readers, tail latency while a background writer
-//! churns refresh commits, and the contended cost of acquiring an epoch
-//! handle. The harness is closed-loop — each client issues its next
-//! request only after the previous answer returns, so reported QPS is a
-//! sustained rate, not an open-loop arrival fantasy.
+//! under concurrent readers and tail latency while a background writer
+//! churns refresh commits. The harness is closed-loop — each client
+//! issues its next request only after the previous answer returns, so
+//! reported QPS is a sustained rate, not an open-loop arrival fantasy.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`LoadConfig`] / [`LoadConfig::parse_from`] — the `serve_load`
 //!   binary's knobs (trained users, client count, duration, coalescing
@@ -24,11 +23,7 @@
 //! * [`recover`] — the verification half: reopens the artifact (replaying
 //!   the committed log, truncating any torn tail) and proves the
 //!   recovered posterior byte-identical — and bit-identically serving —
-//!   versus an uninterrupted replay of the same churn waves;
-//! * [`contend`] — the before/after of the lock-free epoch publication:
-//!   T threads hammering handle acquisition through a mutex-guarded
-//!   baseline (the pre-lock-free design) versus
-//!   [`ServingEngine::snapshot`].
+//!   versus an uninterrupted replay of the same churn waves.
 
 use mlp_core::engine::{response_determinism_hash, EngineError, ProfileRequest, ServingEngine};
 use mlp_core::{FoldInConfig, MlpConfig};
@@ -38,7 +33,6 @@ use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::{GeneratedData, Generator, GeneratorConfig, UserId};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Everything the `serve_load` binary can vary.
@@ -120,7 +114,8 @@ impl LoadConfig {
     }
 
     /// Parses `serve_load` flags from an explicit iterator (testable).
-    /// `--smoke` applies the smoke preset before explicit overrides.
+    /// `--smoke` applies the smoke preset before explicit overrides;
+    /// `--help`/`-h` stops parsing and asks for the usage text.
     ///
     /// # Panics
     /// Panics on unknown flags or malformed values (the binary's
@@ -140,7 +135,7 @@ impl LoadConfig {
                     out = Self::smoke();
                     mode = LoadMode::Smoke;
                 }
-                "--contend" => mode = LoadMode::Contend,
+                "--help" | "-h" => return (out, LoadMode::Help),
                 "--recover" => mode = LoadMode::Recover,
                 "--no-churn" => out.churn = false,
                 "--users" => out.users = num(&flag, value(&flag)) as usize,
@@ -194,8 +189,8 @@ pub enum LoadMode {
     Measure,
     /// The CI gate: smoke preset + hard assertions on the report.
     Smoke,
-    /// The handle-acquisition contention comparison instead of a load run.
-    Contend,
+    /// Print the usage text and exit.
+    Help,
     /// Crash-recovery verification: reopen `--artifact`, replay the
     /// committed write-ahead log, and prove the recovered state equal to
     /// an uninterrupted replay (see [`recover`]).
@@ -555,97 +550,6 @@ pub fn recover(config: &LoadConfig) -> Result<RecoverSummary, EngineError> {
     })
 }
 
-/// The contended handle-acquisition comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct ContendReport {
-    /// Hammering threads.
-    pub threads: usize,
-    /// Acquisitions per second through the mutex-guarded baseline (the
-    /// pre-lock-free publication design: lock, clone the `Arc`, unlock).
-    pub mutex_ops_per_sec: f64,
-    /// Acquisitions per second through [`ServingEngine::snapshot`].
-    pub lock_free_ops_per_sec: f64,
-}
-
-impl ContendReport {
-    /// Lock-free speedup over the mutex baseline.
-    pub fn speedup(&self) -> f64 {
-        self.lock_free_ops_per_sec / self.mutex_ops_per_sec.max(f64::MIN_POSITIVE)
-    }
-
-    /// One summary line.
-    pub fn summary(&self) -> String {
-        format!(
-            "contend threads={}: mutex={:.0} ops/s lock_free={:.0} ops/s speedup={:.2}x",
-            self.threads,
-            self.mutex_ops_per_sec,
-            self.lock_free_ops_per_sec,
-            self.speedup()
-        )
-    }
-}
-
-/// Measures contended epoch-handle acquisition: `threads` workers
-/// spinning on handle acquisition for `window` through (a) a mutex
-/// around the published handle — the structure the lock-free swap
-/// replaced — and (b) the engine's own [`ServingEngine::snapshot`].
-pub fn contend(config: &LoadConfig, window: Duration) -> Result<ContendReport, EngineError> {
-    let gaz = Gazetteer::us_cities();
-    let data = Generator::new(
-        &gaz,
-        GeneratorConfig { num_users: config.users, seed: config.seed, ..Default::default() },
-    )
-    .generate();
-    let iters = config.train_iters.max(2);
-    let engine = ServingEngine::builder(&gaz)
-        .mlp_config(MlpConfig {
-            iterations: iters,
-            burn_in: (iters / 2).max(1),
-            seed: config.seed,
-            ..Default::default()
-        })
-        .train(&data.dataset)?;
-
-    let threads = config.clients.max(1);
-    let baseline = Mutex::new(engine.snapshot());
-    let mutex_ops = hammer(threads, window, || {
-        let handle = baseline.lock().expect("baseline lock").clone();
-        std::hint::black_box(handle.epoch());
-    });
-    let lock_free_ops = hammer(threads, window, || {
-        let handle = engine.snapshot();
-        std::hint::black_box(handle.epoch());
-    });
-    Ok(ContendReport {
-        threads,
-        mutex_ops_per_sec: mutex_ops as f64 / window.as_secs_f64(),
-        lock_free_ops_per_sec: lock_free_ops as f64 / window.as_secs_f64(),
-    })
-}
-
-/// Spins `threads` workers on `op` for `window`; total completed ops.
-fn hammer(threads: usize, window: Duration, op: impl Fn() + Sync) -> u64 {
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let (stop, op) = (&stop, &op);
-                scope.spawn(move || {
-                    let mut done = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        op();
-                        done += 1;
-                    }
-                    done
-                })
-            })
-            .collect();
-        std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
-        workers.into_iter().map(|h| h.join().expect("hammer worker")).sum()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,6 +578,13 @@ mod tests {
         assert_eq!(mode, LoadMode::Smoke);
         assert_eq!(c.clients, 3, "explicit flag wins over the preset");
         assert_eq!(c.users, LoadConfig::smoke().users);
+    }
+
+    #[test]
+    fn help_stops_parsing() {
+        for flag in ["--help", "-h"] {
+            assert_eq!(parse(&["--recover", flag, "--bogus"]).1, LoadMode::Help);
+        }
     }
 
     #[test]

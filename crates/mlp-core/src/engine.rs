@@ -16,14 +16,15 @@
 //!   ([`EngineBuilder::from_artifact`]).
 //! * **Epoch-published snapshots** — the engine keeps the authoritative
 //!   posterior behind a single-writer path and *publishes* it as an
-//!   immutable epoch through a lock-free [`ArcSwap`]: readers grab a
-//!   cheap [`SnapshotHandle`] — an `Arc` clone with **no lock anywhere on
-//!   the path** — and serve against it; a refresh commit publishes the
-//!   next epoch with one atomic pointer swap, never blocking readers
-//!   mid-batch. Every reader observes a full pre- or post-commit
-//!   posterior, never a torn one, and the monitoring surface
-//!   ([`ServingEngine::epoch`], [`commits`](ServingEngine::commits),
-//!   [`needs_retrain`](ServingEngine::needs_retrain)) is wait-free.
+//!   immutable epoch in an `RwLock<Arc<_>>` slot: readers grab a cheap
+//!   [`SnapshotHandle`] — an `Arc` clone under a read lock — and serve
+//!   against it; a refresh commit publishes the next epoch by storing one
+//!   pointer under the write lock, never blocking readers mid-batch.
+//!   Every reader observes a full pre- or post-commit posterior, never a
+//!   torn one, and the monitoring surface ([`ServingEngine::epoch`],
+//!   [`commits`](ServingEngine::commits),
+//!   [`needs_retrain`](ServingEngine::needs_retrain)) never waits on a
+//!   refresh in progress.
 //! * **Request coalescing** — concurrent single-user requests can opt
 //!   into a [`crate::coalesce::Coalescer`] that groups them into one
 //!   fold-in wave per epoch read (see [`ServingEngine::coalescer`]),
@@ -90,13 +91,12 @@ use crate::online::{OnlineError, OnlineUpdater, StalenessPolicy};
 use crate::shard::{ShardedTrainConfig, TrainError};
 use crate::snapshot::{Integrity, PosteriorSnapshot, SnapshotError};
 use crate::wal::{artifact_fingerprint, write_atomic, DeltaWal, WalError};
-use arc_swap::ArcSwap;
 use bytes::Bytes;
 use mlp_gazetteer::{CityId, Gazetteer};
 use mlp_social::{Dataset, UserId};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Everything that can go wrong across the serving lifecycle, in one
 /// `#[non_exhaustive]` enum with [`std::error::Error::source`] chaining to
@@ -414,26 +414,7 @@ pub struct EngineBuilder<'a> {
     durable: bool,
     compact_threshold: u64,
     sharding: ShardedTrainConfig,
-    open_mode: OpenMode,
     integrity: Integrity,
-}
-
-/// How [`EngineBuilder::from_artifact_file`] brings the artifact into
-/// memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpenMode {
-    /// Peek the artifact version and pick: v5 artifacts are mapped and
-    /// served zero-copy, legacy layouts take the plain read + copying
-    /// decode. The default.
-    #[default]
-    Auto,
-    /// Always map the file. v5 slabs are borrowed in place; a legacy,
-    /// misaligned, or big-endian artifact still thaws correctly through
-    /// the copying fallback inside [`PosteriorSnapshot::open_mapped`].
-    Mapped,
-    /// Always read the whole file and decode into owned arenas — the
-    /// pre-v5 behavior, never maps.
-    Copied,
 }
 
 /// Default WAL size past which a file-backed engine folds the log into
@@ -451,19 +432,11 @@ impl<'a> EngineBuilder<'a> {
             durable: true,
             compact_threshold: DEFAULT_WAL_COMPACT_THRESHOLD,
             sharding: ShardedTrainConfig::default(),
-            open_mode: OpenMode::default(),
             integrity: Integrity::default(),
         }
     }
 
-    /// How [`Self::from_artifact_file`] brings the artifact into memory
-    /// (mapped zero-copy vs owned read; see [`OpenMode`]).
-    pub fn open_mode(mut self, mode: OpenMode) -> Self {
-        self.open_mode = mode;
-        self
-    }
-
-    /// How much of a mapped v5 artifact [`Self::from_artifact_file`]
+    /// How much of the artifact [`Self::from_artifact_file`]
     /// verifies before serving it: [`Integrity::Full`] (default)
     /// checksums every section; [`Integrity::Structural`] verifies only
     /// the header and structural invariants, so the open touches O(ids)
@@ -582,7 +555,11 @@ impl<'a> EngineBuilder<'a> {
     }
 
     /// [`Self::from_artifact`] reading the bytes from a file — the
-    /// *durable* entry point (unless [`Self::durable`]`(false)`).
+    /// *durable* entry point (unless [`Self::durable`]`(false)`). The
+    /// file is mapped and its slabs served in place
+    /// ([`PosteriorSnapshot::open_mapped_with`]); where mapping or
+    /// in-place reinterpretation is unavailable the open falls back to
+    /// owned copies, with identical answers.
     ///
     /// Durable opens recover on the way in: the sidecar
     /// `<artifact>.wal` is scanned, every committed delta record is
@@ -600,31 +577,14 @@ impl<'a> EngineBuilder<'a> {
     ) -> Result<ServingEngine<'a>, EngineError> {
         self.fold_in.validate()?;
         let path = path.as_ref();
-        let use_map = match self.open_mode {
-            OpenMode::Copied => false,
-            OpenMode::Mapped => true,
-            // v5 artifacts are built for in-place serving; legacy layouts
-            // would only be copied out of the mapping anyway, so read them
-            // plainly.
-            OpenMode::Auto => {
-                peek_artifact_version(path)? == Some(crate::snapshot::CURRENT_ARTIFACT_VERSION)
-            }
-        };
-        let (mut snapshot, base_fingerprint) = if use_map {
-            let map = Arc::new(mmap_lite::Mmap::open(path)?);
-            // The fingerprint pass streams through the page cache — no
-            // artifact-sized allocation happens on this path.
-            let fp = self.durable.then(|| artifact_fingerprint(map.as_slice()));
-            (PosteriorSnapshot::open_mapped_with(&map, self.integrity)?, fp)
-        } else {
-            let raw = std::fs::read(path)?;
-            let fp = self.durable.then(|| artifact_fingerprint(&raw));
-            (PosteriorSnapshot::decode(Bytes::from(raw))?, fp)
-        };
-        if !self.durable {
+        let map = Arc::new(mmap_lite::Mmap::open(path)?);
+        // The fingerprint pass streams through the page cache — no
+        // artifact-sized allocation happens on this path.
+        let base_fingerprint = self.durable.then(|| artifact_fingerprint(map.as_slice()));
+        let mut snapshot = PosteriorSnapshot::open_mapped_with(&map, self.integrity)?;
+        let Some(base_fingerprint) = base_fingerprint else {
             return self.adopt(snapshot);
-        }
-        let base_fingerprint = base_fingerprint.expect("fingerprint computed on the durable path");
+        };
         let wal_path = DeltaWal::sidecar_path(path);
         let (wal, found) = DeltaWal::recover(&wal_path, base_fingerprint)?;
         let mut replayed_users = 0;
@@ -684,8 +644,7 @@ impl<'a> EngineBuilder<'a> {
             identity,
             commits_published: AtomicUsize::new(updater.commits()),
             stale: AtomicBool::new(updater.needs_refresh()),
-            epoch_published: AtomicU64::new(0),
-            published: ArcSwap::new(published),
+            published: RwLock::new(published),
             writer: Mutex::new(Writer { updater, durable }),
             recovery,
         })
@@ -754,14 +713,11 @@ pub struct ServingEngine<'a> {
     commits_published: AtomicUsize,
     /// Monitoring mirror of the staleness verdict, same rationale.
     stale: AtomicBool,
-    /// Wait-free mirror of the published epoch number — [`Self::epoch`]
-    /// must answer without even the lock-free swap's retry loop.
-    epoch_published: AtomicU64,
-    /// The published epoch. Readers clone the `Arc` lock-free; the single
-    /// writer publishes the next epoch with one atomic swap after a
-    /// commit — reads never wait on a refresh in progress, and no mutex
-    /// exists anywhere on the read path.
-    published: ArcSwap<Epoch>,
+    /// The published epoch. Readers clone the `Arc` under the read lock;
+    /// the single writer holds the write lock only to store the next
+    /// epoch's pointer after a commit — reads never wait on a refresh in
+    /// progress.
+    published: RwLock<Arc<Epoch>>,
     /// The single-writer path: the authoritative posterior plus the
     /// delta/staleness bookkeeping and (for file-backed engines) the
     /// durable sidecar log. Held for the whole fold-in → stage → log →
@@ -774,9 +730,9 @@ pub struct ServingEngine<'a> {
 
 impl std::fmt::Debug for ServingEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Monitoring surface: a lock-free epoch load, so dumping an engine
-        // never blocks behind a refresh holding the writer lock.
-        let published = self.published.load_full();
+        // Monitoring surface: an epoch read, so dumping an engine never
+        // blocks behind a refresh holding the writer lock.
+        let published = self.current();
         f.debug_struct("ServingEngine")
             .field("epoch", &published.epoch)
             .field("users", &published.snapshot.num_users())
@@ -801,16 +757,43 @@ impl<'a> ServingEngine<'a> {
         &self.fold_in
     }
 
-    /// A read handle on the currently published posterior epoch — a
-    /// lock-free `Arc` clone, never contended by the writer.
+    /// A read handle on the currently published posterior epoch — an
+    /// `Arc` clone, never held up by a refresh in progress.
     pub fn snapshot(&self) -> SnapshotHandle {
-        SnapshotHandle { inner: self.published.load_full() }
+        SnapshotHandle { inner: self.current() }
     }
 
     /// The currently published epoch number (0 at build, +1 per commit).
-    /// A wait-free monitoring read — one atomic load, no lock, no retry.
+    /// A monitoring read of the published slot.
     pub fn epoch(&self) -> u64 {
-        self.epoch_published.load(Ordering::Acquire)
+        self.current().epoch
+    }
+
+    /// The published epoch. A poisoned slot still yields its pointer (see
+    /// [`lock`]): the store it guards is a single pointer write, so it
+    /// can never be torn.
+    fn current(&self) -> Arc<Epoch> {
+        Arc::clone(&self.published.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Publishes the writer's posterior as the next epoch (one pointer
+    /// store) and returns it. Called with the writer lock held, so epoch
+    /// numbers rise by exactly one per publish.
+    fn publish(&self, writer: &Writer<'a>) -> Arc<Epoch> {
+        let next = Arc::new(Epoch {
+            epoch: self.epoch() + 1,
+            snapshot: writer.updater.snapshot().clone(),
+            publisher: Arc::clone(&self.identity),
+            parts: writer.updater.derived_parts().clone(),
+        });
+        let retired = std::mem::replace(
+            &mut *self.published.write().unwrap_or_else(PoisonError::into_inner),
+            Arc::clone(&next),
+        );
+        // Released after the write lock: freeing an epoch no reader pins
+        // must not hold readers up.
+        drop(retired);
+        next
     }
 
     /// Profiles one unseen user (defined as the head of a one-request
@@ -928,9 +911,9 @@ impl<'a> ServingEngine<'a> {
     /// chunks may therefore cite earlier chunks' users as neighbors.
     ///
     /// Each published epoch is an independent clone of the posterior (the
-    /// price of lock-free readers), so the `batch` size trades commit
-    /// granularity against O(posterior) clone work per commit — prefer
-    /// larger batches when absorbing a large backlog.
+    /// price of readers that never wait on the writer), so the `batch`
+    /// size trades commit granularity against O(posterior) clone work per
+    /// commit — prefer larger batches when absorbing a large backlog.
     ///
     /// Chunks commit atomically and in order: if a later chunk fails
     /// typed, everything committed before it *stays* committed and
@@ -994,24 +977,14 @@ impl<'a> ServingEngine<'a> {
         let mut commits = Vec::new();
         // Served-at epoch: the posterior the chains actually ran against
         // (the epoch only moves below, and we hold the writer lock).
-        let served_epoch = self.epoch_published.load(Ordering::Acquire);
+        let served_epoch = self.epoch();
         if appended > 0 {
-            let next = Arc::new(Epoch {
-                epoch: served_epoch + 1,
-                snapshot: writer.updater.snapshot().clone(),
-                publisher: Arc::clone(&self.identity),
-                parts: writer.updater.derived_parts().clone(),
-            });
+            let next = self.publish(writer);
             commits.push(CommitInfo {
                 appended,
                 total_users: next.snapshot.num_users(),
                 epoch: next.epoch,
             });
-            // Publish order matters for the wait-free mirror: swap the
-            // epoch in first, then advance the number, so `epoch()` never
-            // runs ahead of what `snapshot()` can observe.
-            self.published.store(Arc::clone(&next));
-            self.epoch_published.store(next.epoch, Ordering::Release);
             // Compaction runs only after the commit is both durable and
             // published — a checkpoint failure here cannot un-commit it.
             self.maybe_checkpoint(writer)?;
@@ -1091,10 +1064,10 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// Whether the currently published posterior serves its slabs
-    /// zero-copy out of a mapped artifact (true only for v5 files opened
-    /// with [`OpenMode::Auto`]/[`OpenMode::Mapped`], until a delta-free
-    /// checkpoint remap is superseded by owned mutation). A monitoring
-    /// read; takes the writer lock briefly.
+    /// zero-copy out of a mapped artifact (true for engines opened with
+    /// [`EngineBuilder::from_artifact_file`] on platforms that map files;
+    /// a checkpoint remaps the fresh base). A monitoring read; takes the
+    /// writer lock briefly.
     pub fn is_mapped(&self) -> bool {
         lock_writer(&self.writer).updater.snapshot().is_zero_copy()
     }
@@ -1197,19 +1170,14 @@ impl<'a> ServingEngine<'a> {
         } else {
             false
         };
-        let epoch = self.epoch_published.load(Ordering::Acquire) + 1;
-        let next = Arc::new(Epoch {
-            epoch,
-            snapshot: writer.updater.snapshot().clone(),
-            publisher: Arc::clone(&self.identity),
-            parts: writer.updater.derived_parts().clone(),
-        });
-        let trained_users = next.snapshot.num_users();
-        self.published.store(next);
-        self.epoch_published.store(epoch, Ordering::Release);
+        let next = self.publish(&writer);
         self.commits_published.store(writer.updater.commits(), Ordering::Release);
         self.stale.store(writer.updater.needs_refresh(), Ordering::Release);
-        Ok(RetrainReport { epoch, trained_users, checkpointed })
+        Ok(RetrainReport {
+            epoch: next.epoch,
+            trained_users: next.snapshot.num_users(),
+            checkpointed,
+        })
     }
 
     /// Merges the committed delta history into one record, bounding the
@@ -1235,20 +1203,6 @@ impl<'a> ServingEngine<'a> {
         let bytes = self.encode_artifact()?;
         write_atomic(path.as_ref(), bytes.as_slice())?;
         Ok(bytes.len())
-    }
-}
-
-/// Reads just enough of `path` to learn the artifact's declared format
-/// version — `None` when the file is too short or not a snapshot at all
-/// (the full open will produce the typed error).
-fn peek_artifact_version(path: &Path) -> std::io::Result<Option<u16>> {
-    use std::io::Read;
-    let mut head = [0u8; 6];
-    let mut file = std::fs::File::open(path)?;
-    match file.read_exact(&mut head) {
-        Ok(()) => Ok(crate::snapshot::artifact_version(&head)),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
-        Err(e) => Err(e),
     }
 }
 

@@ -37,8 +37,7 @@
 //! * [`model`] — the [`Mlp`] façade tying it together, and [`MlpResult`];
 //! * [`snapshot`] — frozen posterior artifacts (versioned binary codec,
 //!   v5 with a 64-byte-aligned section table for zero-copy mapped opens
-//!   and CRC-framed mergeable delta records; v2–v4 still decode) for
-//!   warm-start serving;
+//!   and CRC-framed mergeable delta records) for warm-start serving;
 //! * [`infer`] — the fold-in engine predicting *unseen* users against a
 //!   frozen snapshot, sequentially or batched across scoped threads;
 //! * [`online`] — incremental posterior refresh: absorbing new users into
@@ -46,8 +45,9 @@
 //!   retrain, under a bounded staleness policy;
 //! * [`engine`] — **the serving facade**: [`engine::ServingEngine`] unifies
 //!   train / fold-in / refresh behind one typed, concurrency-safe API with
-//!   epoch-published snapshots (lock-free readers, single-writer refresh).
-//!   [`snapshot`], [`infer`], and [`online`] remain public as the
+//!   epoch-published snapshots (readers never wait on a commit,
+//!   single-writer refresh). [`snapshot`], [`infer`], and [`online`]
+//!   remain public as the
 //!   low-level layer it is built from;
 //! * [`coalesce`] — group-commit batching of concurrent single-user
 //!   requests over the facade, answer-preserving by construction;
@@ -83,7 +83,7 @@ pub use config::{ConfigError, MlpConfig, Variant};
 pub use count_store::{VenueCountStore, VenueRow};
 pub use diagnostics::{Diagnostics, IterationStats};
 pub use engine::{
-    response_determinism_hash, CommitInfo, EngineBuilder, EngineError, OpenMode, ProfileRequest,
+    response_determinism_hash, CommitInfo, EngineBuilder, EngineError, ProfileRequest,
     ProfileResponse, RankedCities, RecoveryReport, RefreshReport, RetrainDecision, RetrainReport,
     ServingEngine, SnapshotHandle,
 };
@@ -99,9 +99,9 @@ pub use online::{OnlineError, OnlineUpdater, StalenessPolicy};
 pub use random_models::RandomModels;
 pub use shard::{train_corpus, CandidateProfiles, ShardedTrainConfig, TrainError};
 pub use snapshot::{
-    artifact_version, gazetteer_fingerprint, inspect_artifact, ArtifactInfo, Integrity,
-    PosteriorSnapshot, SectionInfo, SnapshotDelta, SnapshotError, UserArena, UserPosterior,
-    UserView, VenueArena, CURRENT_ARTIFACT_VERSION,
+    gazetteer_fingerprint, inspect_artifact, ArtifactInfo, Integrity, PosteriorSnapshot,
+    SectionInfo, SnapshotDelta, SnapshotError, UserArena, UserPosterior, UserView, VenueArena,
+    CURRENT_ARTIFACT_VERSION,
 };
 pub use wal::{
     artifact_fingerprint, inspect_log, write_atomic, DeltaWal, WalError, WalInfo, WalRecovery,

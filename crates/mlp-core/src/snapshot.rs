@@ -12,11 +12,11 @@
 //!   observation variant);
 //! * the learned noise models `F_R` and `T_R` as exact probabilities.
 //!
-//! Since format **v2** the posterior lives in CSR arenas ([`UserArena`],
-//! [`VenueArena`]): one offset table per arena and flat value slabs,
-//! mirroring the training-time layout in [`crate::state`]. The binary
-//! encoding is therefore a handful of length-prefixed slabs — no per-user
-//! records, no intermediate maps on decode — following the
+//! The posterior lives in CSR arenas ([`UserArena`], [`VenueArena`]): one
+//! offset table per arena and flat value slabs, mirroring the
+//! training-time layout in [`crate::state`]. The binary encoding (format
+//! v5) is therefore a handful of aligned slabs — no per-user records, no
+//! intermediate maps on decode — following the
 //! `mlp_social::codec` conventions: little-endian, magic-tagged and
 //! versioned so stale or corrupted artifacts fail loudly with a typed
 //! [`SnapshotError`] instead of deserialising garbage. Serving fleets can
@@ -34,25 +34,17 @@ use std::any::Any;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x4D4C_5053; // "MLPS"
-/// Current write version: v5 = a 64-byte-aligned section table over the
-/// CSR slabs (fixed-width little-endian, per-section CRC32s) so each slab
-/// can be reinterpreted in place from a mapped file, followed by a
-/// [`SnapshotDelta`] record section with the same CRC-framed records v4
-/// introduced (`u64` length + `u32` IEEE CRC of the payload). v4 was the
-/// v2 CSR-arena payload plus that record section; v3 wrote the section
-/// without per-record checksums.
-const VERSION: u16 = 5;
-/// Newest *legacy* (pre-section-table) version; v2..=v4 decode through
-/// the copying path, byte-identically to the builds that wrote them.
-const LEGACY_MAX_VERSION: u16 = 4;
-/// Oldest version this build still reads. v2 artifacts (pre-refresh, no
-/// delta section) and v3 artifacts (un-checksummed records) thaw
-/// unchanged; v1 artifacts fail with the typed
+/// The one format version this build reads and writes: v5 = a
+/// 64-byte-aligned section table over the CSR slabs (fixed-width
+/// little-endian, per-section CRC32s) so each slab can be reinterpreted
+/// in place from a mapped file, followed by a [`SnapshotDelta`] record
+/// section of CRC-framed records (`u64` length + `u32` IEEE CRC of the
+/// payload). Every other version, older or newer, fails with the typed
 /// [`SnapshotError::UnsupportedVersion`].
-const MIN_READ_VERSION: u16 = 2;
+const VERSION: u16 = 5;
 
 /// IEEE CRC32 (the zlib/PNG polynomial), slicing-by-8, no external
-/// crates. Frames every v4+ delta record and every WAL record, and
+/// crates. Frames every delta record and every WAL record, and
 /// checksums every v5 section — a mapped open verifies whole slabs with
 /// it, so the wide variant matters: it runs several times faster than the
 /// byte-at-a-time loop while producing identical digests.
@@ -140,8 +132,8 @@ pub fn gazetteer_fingerprint(gaz: &Gazetteer) -> u64 {
 pub enum SnapshotError {
     /// Wrong magic number — not a posterior snapshot.
     BadMagic(u32),
-    /// Snapshot from an incompatible format version (e.g. a v1 artifact
-    /// from before the CSR arena layout).
+    /// Snapshot from a format version this build does not read (anything
+    /// but v5).
     UnsupportedVersion(u16),
     /// Buffer ended before the declared payload.
     Truncated,
@@ -661,8 +653,8 @@ impl VenueArena {
 /// sorted-unique COO (`(city, venue) → weight`) that
 /// [`PosteriorSnapshot::apply_delta`] merges index-wise into the venue
 /// CSR. Deltas compose: [`Self::merge`] concatenates consecutive deltas
-/// into one (compaction), and the v3 binary format ships them as
-/// length-prefixed records after the base payload, so a serving replica
+/// into one (compaction), and the artifact ships them as CRC-framed
+/// records after the base sections, so a serving replica
 /// can refresh by appending records instead of re-downloading the model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotDelta {
@@ -781,8 +773,8 @@ impl SnapshotDelta {
         4 + 4 + 4 + (n + 1) * 4 + nnz * 20 + n * 20 + 4 + vnz * 16
     }
 
-    /// Appends the v4 framed record: `u64` payload byte length, `u32`
-    /// IEEE CRC32 of the payload, then the payload itself.
+    /// Appends the framed record: `u64` payload byte length, `u32` IEEE
+    /// CRC32 of the payload, then the payload itself.
     pub(crate) fn encode_record(&self, buf: &mut BytesMut) -> Result<(), SnapshotError> {
         let payload = self.encode_record_payload()?;
         buf.put_u64_le(payload.len() as u64);
@@ -840,37 +832,27 @@ impl SnapshotDelta {
 
     /// Parses one framed record. The `u64` length prefix is checked
     /// against the remaining buffer *before* any slab is sized (an absurd
-    /// declared length is a typed error, not an allocation), and a record
+    /// declared length is a typed error, not an allocation), the `u32`
+    /// IEEE CRC32 is verified before the payload is parsed, and a record
     /// that does not consume exactly its declared bytes is rejected.
-    ///
-    /// `checksummed` selects the framing: v4 records carry a `u32` IEEE
-    /// CRC32 between the length prefix and the payload, verified before
-    /// the payload is parsed; v3 records have no checksum.
-    pub(crate) fn decode_record(buf: &mut Bytes, checksummed: bool) -> Result<Self, SnapshotError> {
-        need64(buf, 8)?;
+    pub(crate) fn decode_record(buf: &mut Bytes) -> Result<Self, SnapshotError> {
+        need64(buf, 12)?;
         let declared = buf.get_u64_le();
         let len = usize::try_from(declared)
             .map_err(|_| SnapshotError::Overflow("delta record length prefix"))?;
-        let expect_crc = if checksummed {
-            need64(buf, 4)?;
-            Some(buf.get_u32_le())
-        } else {
-            None
-        };
+        let crc = buf.get_u32_le();
         if buf.remaining() < len {
             return Err(SnapshotError::Truncated);
         }
         let rec = buf.split_to(len);
-        if let Some(crc) = expect_crc {
-            if crc32(rec.as_slice()) != crc {
-                return Err(SnapshotError::Corrupt("delta record checksum mismatch"));
-            }
+        if crc32(rec.as_slice()) != crc {
+            return Err(SnapshotError::Corrupt("delta record checksum mismatch"));
         }
         Self::decode_record_payload(rec)
     }
 
-    /// Parses a bare record payload whose framing (length, and for v4 /
-    /// the WAL a CRC) has already been read and verified by the caller.
+    /// Parses a bare record payload whose framing (length and CRC) has
+    /// already been read and verified by the caller.
     pub(crate) fn decode_record_payload(mut rec: Bytes) -> Result<Self, SnapshotError> {
         need64(&rec, 12)?;
         let base_users = rec.get_u32_le();
@@ -1172,7 +1154,7 @@ impl PosteriorSnapshot {
         Ok(Bytes::from(out))
     }
 
-    /// The arena sizes as checked `u32`s — shared by both encoders.
+    /// The arena sizes as checked `u32`s.
     fn slab_counts(&self) -> Result<(u32, u32, u32, u32), SnapshotError> {
         let n32 = u32::try_from(self.users.num_users())
             .map_err(|_| SnapshotError::TooLarge("user count exceeds u32::MAX"))?;
@@ -1183,115 +1165,6 @@ impl PosteriorSnapshot {
         let vnz32 = u32::try_from(self.venues.num_entries())
             .map_err(|_| SnapshotError::TooLarge("venue count slab exceeds u32::MAX entries"))?;
         Ok((n32, nnz32, cities32, vnz32))
-    }
-
-    /// Serialises in the *legacy* v4 layout (length-prefixed slabs, no
-    /// section table). Kept so the v2/v3/v4 read path stays pinned by
-    /// tests against real legacy bytes; production writers emit v5.
-    #[cfg(test)]
-    pub(crate) fn encode_with_deltas_v4(
-        &self,
-        deltas: &[SnapshotDelta],
-    ) -> Result<Bytes, SnapshotError> {
-        let mut buf = self.encode_payload()?;
-        append_delta_section(&mut buf, deltas)?;
-        Ok(buf.freeze())
-    }
-
-    /// The legacy v4 header + base payload, without the trailing delta
-    /// section.
-    #[cfg(test)]
-    pub(crate) fn encode_payload(&self) -> Result<BytesMut, SnapshotError> {
-        let nnz = self.users.num_entries();
-        let vnz = self.venues.num_entries();
-        let n = self.users.num_users();
-        let cities = self.venues.num_cities();
-        let nnz32 = u32::try_from(nnz)
-            .map_err(|_| SnapshotError::TooLarge("user candidate slab exceeds u32::MAX entries"))?;
-        let vnz32 = u32::try_from(vnz)
-            .map_err(|_| SnapshotError::TooLarge("venue count slab exceeds u32::MAX entries"))?;
-        let n32 =
-            u32::try_from(n).map_err(|_| SnapshotError::TooLarge("user count exceeds u32::MAX"))?;
-        let cities32 = u32::try_from(cities)
-            .map_err(|_| SnapshotError::TooLarge("city count exceeds u32::MAX"))?;
-        let mut buf = BytesMut::with_capacity(
-            100 + self.venue_probs.len() * 8
-                + (n + 1) * 4
-                + nnz * 20
-                + n * 20
-                + (cities + 1) * 4
-                + vnz * 12
-                + cities * 8,
-        );
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(LEGACY_MAX_VERSION);
-        buf.put_u8(match self.variant {
-            Variant::FollowingOnly => 0,
-            Variant::TweetingOnly => 1,
-            Variant::Full => 2,
-        });
-        buf.put_u8(self.count_noisy_assignments as u8);
-        for x in [
-            self.tau,
-            self.delta,
-            self.rho_f,
-            self.rho_t,
-            self.power_law.alpha,
-            self.power_law.beta,
-            self.follow_prob,
-        ] {
-            buf.put_f64_le(x);
-        }
-        buf.put_u32_le(self.num_cities);
-        buf.put_u32_le(self.num_venues);
-        buf.put_u64_le(self.gaz_fingerprint);
-
-        buf.put_u32_le(self.venue_probs.len() as u32);
-        for &p in &self.venue_probs {
-            buf.put_f64_le(p);
-        }
-
-        // User arena: offsets, then each slab in column order.
-        buf.put_u32_le(n32);
-        buf.put_u32_le(nnz32);
-        for o in self.users.offsets_iter() {
-            buf.put_u32_le(o);
-        }
-        for c in self.users.candidate_ids_iter() {
-            buf.put_u32_le(c);
-        }
-        for g in self.users.gammas_iter() {
-            buf.put_f64_le(g);
-        }
-        for m in self.users.mean_counts_iter() {
-            buf.put_f64_le(m);
-        }
-        for m in self.users.mean_totals_iter() {
-            buf.put_f64_le(m);
-        }
-        for g in self.users.gamma_totals_iter() {
-            buf.put_f64_le(g);
-        }
-        for h in self.users.home_ids_iter() {
-            buf.put_u32_le(h);
-        }
-
-        // Venue arena.
-        buf.put_u32_le(cities32);
-        buf.put_u32_le(vnz32);
-        for o in self.venues.offsets_iter() {
-            buf.put_u32_le(o);
-        }
-        for v in self.venues.venue_ids_iter() {
-            buf.put_u32_le(v);
-        }
-        for c in self.venues.counts_iter() {
-            buf.put_f64_le(c);
-        }
-        for t in self.venues.city_totals_iter() {
-            buf.put_f64_le(t);
-        }
-        Ok(buf)
     }
 
     /// Commits a delta: appends its user rows to the user arena and
@@ -1358,164 +1231,17 @@ impl PosteriorSnapshot {
         )
     }
 
-    /// Decodes a snapshot produced by [`Self::try_encode`] (v5) or by an
-    /// older v2–v4 build; delta records are replayed onto the base so the
-    /// result is the refreshed posterior. This is the *copying* path — it
-    /// always yields owned arenas. Zero-copy opens go through
-    /// [`Self::open_mapped`].
-    pub fn decode(mut buf: Bytes) -> Result<Self, SnapshotError> {
-        need64(&buf, 8)?;
-        let head = buf.as_slice();
-        let magic = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if version == VERSION {
-            // The v5 section-table parser works off the full byte range
-            // (offsets are absolute); copy every slab to owned memory.
-            return Self::thaw_v5(buf.as_slice(), None, Integrity::Full);
-        }
-        if !(MIN_READ_VERSION..LEGACY_MAX_VERSION + 1).contains(&version) {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        buf.get_u32_le();
-        buf.get_u16_le();
-        let variant = match buf.get_u8() {
-            0 => Variant::FollowingOnly,
-            1 => Variant::TweetingOnly,
-            2 => Variant::Full,
-            t => return Err(SnapshotError::BadTag(t)),
-        };
-        let count_noisy_assignments = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            t => return Err(SnapshotError::BadTag(t)),
-        };
-
-        need64(&buf, 7 * 8 + 8 + 8)?;
-        let tau = buf.get_f64_le();
-        let delta = buf.get_f64_le();
-        let rho_f = buf.get_f64_le();
-        let rho_t = buf.get_f64_le();
-        let power_law = PowerLaw { alpha: buf.get_f64_le(), beta: buf.get_f64_le() };
-        let follow_prob = buf.get_f64_le();
-        let num_cities = buf.get_u32_le();
-        let num_venues = buf.get_u32_le();
-        let gaz_fingerprint = buf.get_u64_le();
-
-        need64(&buf, 4)?;
-        let n_probs = buf.get_u32_le() as usize;
-        if n_probs != num_venues as usize {
-            return Err(SnapshotError::Corrupt("venue_probs length != num_venues"));
-        }
-        need64(&buf, n_probs as u64 * 8)?;
-        let venue_probs: Vec<f64> = (0..n_probs).map(|_| buf.get_f64_le()).collect();
-
-        // --- User arena ---------------------------------------------------
-        need64(&buf, 8)?;
-        let n_users = buf.get_u32_le() as usize;
-        let nnz = buf.get_u32_le();
-        // Every slab length is now known: a declared size the buffer
-        // cannot possibly hold must fail *before* any pre-allocation, or a
-        // corrupt header turns into a multi-GB allocation instead of a
-        // typed error. The byte count is computed in u64 so a declared
-        // size near `u32::MAX` cannot wrap `usize` on 32-bit targets.
-        need64(&buf, (n_users as u64 + 1) * 4 + nnz as u64 * 20 + n_users as u64 * 20)?;
-        let offsets = get_offsets(&mut buf, n_users, nnz)?;
-        let candidates: Vec<CityId> = (0..nnz).map(|_| CityId(buf.get_u32_le())).collect();
-        if candidates.iter().any(|c| c.0 >= num_cities) {
-            return Err(SnapshotError::Corrupt("candidate city out of range"));
-        }
-        let gammas: Vec<f64> = (0..nnz).map(|_| buf.get_f64_le()).collect();
-        let mean_counts: Vec<f64> = (0..nnz).map(|_| buf.get_f64_le()).collect();
-        let mean_totals: Vec<f64> = (0..n_users).map(|_| buf.get_f64_le()).collect();
-        let gamma_totals: Vec<f64> = (0..n_users).map(|_| buf.get_f64_le()).collect();
-        let homes: Vec<CityId> = (0..n_users).map(|_| CityId(buf.get_u32_le())).collect();
-        for u in 0..n_users {
-            let row = &candidates[offsets[u] as usize..offsets[u + 1] as usize];
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(SnapshotError::Corrupt("candidate list not sorted"));
-            }
-            // Fold-in anchors partners at `home` and binary-searches it in
-            // the candidate list; a snapshot violating that must not thaw.
-            if row.binary_search(&homes[u]).is_err() {
-                return Err(SnapshotError::Corrupt("home city is not a candidate"));
-            }
-        }
-        let users = UserArena::from_parts(
-            offsets,
-            candidates,
-            gammas,
-            mean_counts,
-            mean_totals,
-            gamma_totals,
-            homes,
-        );
-
-        // --- Venue arena --------------------------------------------------
-        need64(&buf, 8)?;
-        let n_cities = buf.get_u32_le() as usize;
-        if n_cities != num_cities as usize {
-            return Err(SnapshotError::Corrupt("venue arena rows != num_cities"));
-        }
-        let vnz = buf.get_u32_le();
-        need64(&buf, (n_cities as u64 + 1) * 4 + vnz as u64 * 12 + n_cities as u64 * 8)?;
-        let offsets = get_offsets(&mut buf, n_cities, vnz)?;
-        let venue_ids: Vec<u32> = (0..vnz).map(|_| buf.get_u32_le()).collect();
-        if venue_ids.iter().any(|&v| v >= num_venues) {
-            return Err(SnapshotError::Corrupt("venue id out of range"));
-        }
-        let counts: Vec<f64> = (0..vnz).map(|_| buf.get_f64_le()).collect();
-        let city_totals: Vec<f64> = (0..n_cities).map(|_| buf.get_f64_le()).collect();
-        for l in 0..n_cities {
-            let row = &venue_ids[offsets[l] as usize..offsets[l + 1] as usize];
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(SnapshotError::Corrupt("venue count row not sorted"));
-            }
-        }
-        let venues = VenueArena::from_parts(offsets, venue_ids, counts, city_totals);
-
-        let mut snap = Self {
-            variant,
-            count_noisy_assignments,
-            tau,
-            delta,
-            rho_f,
-            rho_t,
-            power_law,
-            follow_prob,
-            venue_probs,
-            num_cities,
-            num_venues,
-            gaz_fingerprint,
-            users,
-            venues,
-        };
-
-        // --- Delta record section (v3+) -----------------------------------
-        // Replay every committed increment onto the base, validating each
-        // one exactly like base state. A v2 artifact simply has no
-        // section; v4 records are CRC-framed, v3 records are not.
-        if version >= 3 {
-            need64(&buf, 4)?;
-            let n_deltas = buf.get_u32_le();
-            for _ in 0..n_deltas {
-                let record = SnapshotDelta::decode_record(&mut buf, version >= 4)?;
-                snap.apply_delta(&record)?;
-            }
-        }
-        // A well-formed artifact ends exactly here; leftover bytes mean a
-        // stale in-place overwrite or a mangled concatenation, and
-        // silently ignoring them would mask the corruption.
-        if buf.has_remaining() {
-            return Err(SnapshotError::Corrupt("trailing bytes after snapshot"));
-        }
-        Ok(snap)
+    /// Decodes an artifact produced by [`Self::try_encode`] /
+    /// [`Self::encode_with_deltas`]; delta records are replayed onto the
+    /// base so the result is the refreshed posterior. This is the
+    /// *copying* path — the same parser as [`Self::open_mapped`], but
+    /// every slab is copied to owned memory.
+    pub fn decode(buf: Bytes) -> Result<Self, SnapshotError> {
+        Self::thaw_v5(buf.as_slice(), None, Integrity::Full)
     }
 }
 
-/// Appends the v4 trailer — `u32` record count + CRC-framed records —
+/// Appends the delta section — `u32` record count + CRC-framed records —
 /// the one framing shared by [`PosteriorSnapshot::encode_with_deltas`]
 /// and the updater's incremental
 /// [`crate::online::OnlineUpdater::encode_artifact`].
@@ -1554,8 +1280,8 @@ fn get_offsets(buf: &mut Bytes, rows: usize, nnz: u32) -> Result<Vec<u32>, Snaps
 }
 
 /// The shared offset-table invariant: starts at 0, non-decreasing, ends
-/// exactly at `nnz`. Same checks (and error strings) on every read path —
-/// legacy byte streams and v5 slabs alike.
+/// exactly at `nnz`. Same checks (and error strings) for artifact slabs
+/// and delta records alike.
 fn check_offset_table(offsets: &[u32], nnz: u32) -> Result<(), SnapshotError> {
     if offsets.is_empty() || offsets[0] != 0 || offsets[offsets.len() - 1] != nnz {
         return Err(SnapshotError::Corrupt("offset table does not span its slab"));
@@ -1732,7 +1458,9 @@ pub enum Integrity {
 /// O(header) + one CRC pass over the file (Full) or O(header)
 /// (Structural).
 fn parse_v5(s: &[u8], integrity: Integrity) -> Result<V5Header, SnapshotError> {
-    if s.len() < V5_DATA_START {
+    // Identity first, so a short foreign or old-format file reports what
+    // it is rather than `Truncated`.
+    if s.len() < 6 {
         return Err(SnapshotError::Truncated);
     }
     let magic = u32_at(s, 0);
@@ -1742,6 +1470,9 @@ fn parse_v5(s: &[u8], integrity: Integrity) -> Result<V5Header, SnapshotError> {
     let version = u16::from_le_bytes([s[4], s[5]]);
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    if s.len() < V5_DATA_START {
+        return Err(SnapshotError::Truncated);
     }
     if crc32(&s[..V5_HEADER_LEN]) != u32_at(s, V5_HEADER_LEN) {
         return Err(SnapshotError::Corrupt("snapshot header checksum mismatch"));
@@ -1917,8 +1648,9 @@ impl V5Slabs {
         }
     }
 
-    /// The structural invariants the legacy decoder enforces, with the
-    /// same error strings, checked in the same order.
+    /// The structural invariants indexing relies on: offset tables span
+    /// their slabs, ids are in range, rows are sorted, and every home is
+    /// one of its user's candidates.
     fn validate(&self, h: &V5Header) -> Result<(), SnapshotError> {
         let offsets = self.user_offsets.as_slice();
         check_offset_table(offsets, h.user_nnz)?;
@@ -2014,7 +1746,7 @@ impl PosteriorSnapshot {
         need64(&dbuf, 4)?;
         let n_deltas = dbuf.get_u32_le();
         for _ in 0..n_deltas {
-            let record = SnapshotDelta::decode_record(&mut dbuf, true)?;
+            let record = SnapshotDelta::decode_record(&mut dbuf)?;
             snap.apply_delta(&record)?;
         }
         if dbuf.has_remaining() {
@@ -2026,10 +1758,9 @@ impl PosteriorSnapshot {
     /// Opens an artifact zero-copy from a mapped file: validate header
     /// and section CRCs, then borrow every slab in place — no slab-sized
     /// allocation, no copy, O(1) in the user count apart from the CRC
-    /// pass and structural scan. Legacy (v2–v4) artifacts have no section
-    /// table and fall back to the copying [`Self::decode`]; so do
-    /// misaligned or big-endian situations inside the internal v5 thaw.
-    /// Callers observe identical snapshots on every path.
+    /// pass and structural scan. Misaligned bytes or a big-endian target
+    /// fall back to copying the slabs inside the same thaw, so callers
+    /// observe identical snapshots on every path.
     pub fn open_mapped(map: &Arc<mmap_lite::Mmap>) -> Result<Self, SnapshotError> {
         Self::open_mapped_with(map, Integrity::Full)
     }
@@ -2044,12 +1775,6 @@ impl PosteriorSnapshot {
         integrity: Integrity,
     ) -> Result<Self, SnapshotError> {
         let s = map.as_slice();
-        if s.len() >= 6 {
-            let version = u16::from_le_bytes([s[4], s[5]]);
-            if u32_at(s, 0) == MAGIC && (MIN_READ_VERSION..VERSION).contains(&version) {
-                return Self::decode(Bytes::from(s.to_vec()));
-            }
-        }
         if integrity == Integrity::Full {
             map.advise(mmap_lite::Advice::Sequential);
         }
@@ -2114,7 +1839,7 @@ pub struct SectionInfo {
 /// A validated summary of an artifact — what `mlp inspect` prints.
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (2–5).
+    /// Format version (always [`CURRENT_ARTIFACT_VERSION`]).
     pub version: u16,
     /// Model variant tag.
     pub variant: Variant,
@@ -2130,60 +1855,24 @@ pub struct ArtifactInfo {
     pub venue_nnz: u32,
     /// Training-gazetteer fingerprint.
     pub gaz_fingerprint: u64,
-    /// Delta records in the artifact's trailing section (v5; legacy
-    /// artifacts replay records into the base during decode and report 0).
+    /// Delta records in the artifact's trailing section.
     pub delta_records: u32,
     /// Whole-artifact size in bytes.
     pub total_bytes: u64,
-    /// The v5 section table; empty for legacy artifacts.
+    /// The v5 section table.
     pub sections: Vec<SectionInfo>,
 }
 
 /// The format version this build writes ([`PosteriorSnapshot::try_encode`]).
 pub const CURRENT_ARTIFACT_VERSION: u16 = VERSION;
 
-/// The artifact's declared format version, when `bytes` starts with the
-/// snapshot magic (needs at least 6 bytes); `None` otherwise.
-pub fn artifact_version(bytes: &[u8]) -> Option<u16> {
-    if bytes.len() < 6 || u32_at(bytes, 0) != MAGIC {
-        return None;
-    }
-    Some(u16::from_le_bytes([bytes[4], bytes[5]]))
-}
-
-/// Summarises an artifact header without materializing the model. v5
-/// artifacts are read from the section table alone (O(header) plus the
-/// CRC pass); legacy artifacts have no table and are fully decoded to
-/// recover the same counts.
+/// Summarises an artifact header without materializing the model: read
+/// from the section table alone (O(header) plus the CRC pass).
 pub fn inspect_artifact(s: &[u8]) -> Result<ArtifactInfo, SnapshotError> {
-    if s.len() < 6 {
-        return Err(SnapshotError::Truncated);
-    }
-    let magic = u32_at(s, 0);
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic(magic));
-    }
-    let version = u16::from_le_bytes([s[4], s[5]]);
-    if version != VERSION {
-        let snap = PosteriorSnapshot::decode(Bytes::from(s.to_vec()))?;
-        return Ok(ArtifactInfo {
-            version,
-            variant: snap.variant,
-            num_users: snap.users.num_users() as u32,
-            num_cities: snap.num_cities,
-            num_venues: snap.num_venues,
-            user_nnz: snap.users.num_entries() as u32,
-            venue_nnz: snap.venues.num_entries() as u32,
-            gaz_fingerprint: snap.gaz_fingerprint,
-            delta_records: 0,
-            total_bytes: s.len() as u64,
-            sections: Vec::new(),
-        });
-    }
     let h = parse_v5(s, Integrity::Full)?;
     let (d_off, _, _) = h.sections[V5_NUM_SECTIONS - 1];
     Ok(ArtifactInfo {
-        version,
+        version: VERSION,
         variant: h.variant,
         num_users: h.n_users,
         num_cities: h.num_cities,
@@ -2267,71 +1956,17 @@ mod tests {
             PosteriorSnapshot::decode(Bytes::from(raw)).unwrap_err(),
             SnapshotError::BadMagic(_)
         ));
+        // A short foreign file is named for what it is, not `Truncated`.
+        assert!(matches!(
+            PosteriorSnapshot::decode(Bytes::from(b"GIF89a".to_vec())).unwrap_err(),
+            SnapshotError::BadMagic(_)
+        ));
         let mut raw = snap.try_encode().unwrap().to_vec();
         raw[4] = 0xFE;
         assert!(matches!(
             PosteriorSnapshot::decode(Bytes::from(raw)).unwrap_err(),
             SnapshotError::UnsupportedVersion(_)
         ));
-    }
-
-    /// A v2 artifact — the pre-refresh format, byte-identical to a v4
-    /// base minus the trailing delta record section — must still thaw.
-    /// Synthesised from a v4 encode by rewriting the version and dropping
-    /// the empty record count, which is exactly what a v2 writer
-    /// produced.
-    #[test]
-    fn v2_snapshot_still_decodes() {
-        let snap = trained_snapshot(40, 48);
-        let v4 = snap.encode_with_deltas_v4(&[]).unwrap();
-        let mut v2 = v4.to_vec();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        v2.truncate(v2.len() - 4);
-        let decoded = PosteriorSnapshot::decode(Bytes::from(v2)).unwrap();
-        assert_eq!(snap, decoded, "v2 payload must thaw identically");
-    }
-
-    /// A v3 artifact — un-checksummed delta records — must still thaw,
-    /// records included. Synthesised from the v4 base payload with the
-    /// version rewritten and the record section re-framed the way a v3
-    /// writer laid it out: `u32` count, then per record a `u64` length
-    /// prefix and the bare payload (no CRC).
-    #[test]
-    fn v3_snapshot_with_records_still_decodes() {
-        let base = trained_snapshot(25, 54);
-        let mut delta = SnapshotDelta::new(base.num_users() as u32);
-        delta.push_user(UserPosterior {
-            candidates: vec![CityId(2), CityId(7)],
-            gammas: vec![0.3, 0.1],
-            mean_counts: vec![2.0, 1.0],
-            mean_total: 3.0,
-            gamma_total: 0.4,
-            home: CityId(7),
-        });
-        delta.add_venue_weights(&[(CityId(2), VenueId(1), 1.0)]);
-
-        let mut v3 = base.encode_payload().unwrap();
-        let payload = delta.encode_record_payload().unwrap();
-        v3.put_u32_le(1);
-        v3.put_u64_le(payload.len() as u64);
-        v3.extend_from_slice(payload.as_slice());
-        let mut raw = v3.freeze().to_vec();
-        raw[4..6].copy_from_slice(&3u16.to_le_bytes());
-
-        let thawed = PosteriorSnapshot::decode(Bytes::from(raw.clone())).unwrap();
-        let mut applied = base.clone();
-        applied.apply_delta(&delta).unwrap();
-        assert_eq!(thawed, applied, "v3 records must replay identically");
-
-        // The v3 path still catches a record that lies about its length:
-        // inflate the prefix and pad so it under-consumes.
-        let prefix_at = raw.len() - payload.len() - 8;
-        raw[prefix_at..prefix_at + 8].copy_from_slice(&(payload.len() as u64 + 8).to_le_bytes());
-        raw.extend_from_slice(&[0u8; 8]);
-        assert_eq!(
-            PosteriorSnapshot::decode(Bytes::from(raw)).unwrap_err(),
-            SnapshotError::Corrupt("delta record longer than its payload")
-        );
     }
 
     /// Future versions stay rejected with the typed error.
@@ -2346,10 +1981,10 @@ mod tests {
         );
     }
 
-    /// v3 artifacts with delta records thaw to the refreshed posterior,
-    /// and structurally invalid records fail with typed errors — home
-    /// outside candidates, negative venue weights, and record
-    /// length-prefix mismatches all caught before the state mutates.
+    /// Artifacts with delta records thaw to the refreshed posterior, and
+    /// structurally invalid records fail with typed errors — home outside
+    /// candidates, negative venue weights, record checksum and length
+    /// mismatches all caught before the state mutates.
     #[test]
     fn delta_records_round_trip_and_validate() {
         let base = trained_snapshot(30, 50);
@@ -2411,58 +2046,73 @@ mod tests {
             SnapshotError::Corrupt("delta venue weight not finite-nonnegative")
         );
 
-        // A record that lies about its length is rejected: the stored CRC
-        // covers the true payload, so the inflated slice fails the
-        // checksum before a single slab is parsed. Poked through the v4
-        // framing, where the record CRC is the only integrity layer —
-        // the v5 path would trip its section checksum first.
-        let mut lying = base.encode_with_deltas_v4(std::slice::from_ref(&delta)).unwrap().to_vec();
-        let prefix_at = lying.len() - (delta.record_len() as usize) - 4 - 8;
+        // The per-record CRC on its own: a structural open skips the
+        // section CRCs, so the record checksum is the only guard left.
+        // A record that lies about its length (prefix inflated, the file
+        // padded so the record under-consumes instead of truncating) fails
+        // it before a single slab is parsed, and so does a bit flip inside
+        // a record payload.
+        let artifact = base.encode_with_deltas(std::slice::from_ref(&delta)).unwrap().to_vec();
+        let rec_len = delta.record_len() as usize;
+        let mut lying = artifact.clone();
+        let prefix_at = lying.len() - rec_len - 4 - 8;
         lying[prefix_at..prefix_at + 8].copy_from_slice(&(delta.record_len() + 8).to_le_bytes());
-        // Extend so the inflated length is available, making the record
-        // under-consume instead of truncate.
         lying.extend_from_slice(&[0u8; 8]);
-        assert_eq!(
-            PosteriorSnapshot::decode(Bytes::from(lying)).unwrap_err(),
-            SnapshotError::Corrupt("delta record checksum mismatch")
-        );
-
-        // Any bit flip inside the record payload trips the CRC too.
-        let mut flipped =
-            base.encode_with_deltas_v4(std::slice::from_ref(&delta)).unwrap().to_vec();
-        let payload_at = flipped.len() - (delta.record_len() as usize);
+        // Grow the delta section's table entry to match and re-seal the
+        // header, so only the record framing is wrong.
+        let e = V5_PRELUDE_LEN + (V5_NUM_SECTIONS - 1) * V5_ENTRY_LEN;
+        let d_len = u64_at(&lying, e + 16) + 8;
+        lying[e + 16..e + 24].copy_from_slice(&d_len.to_le_bytes());
+        let hcrc = crc32(&lying[..V5_HEADER_LEN]);
+        lying[V5_HEADER_LEN..V5_HEADER_LEN + 4].copy_from_slice(&hcrc.to_le_bytes());
+        let mut flipped = artifact;
+        let payload_at = flipped.len() - rec_len;
         flipped[payload_at + 5] ^= 0x10;
+        let dir = std::env::temp_dir().join(format!("mlp_snap_rec_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (tag, bytes) in [("lying", &lying), ("flipped", &flipped)] {
+            let path = dir.join(format!("{tag}.mlps"));
+            std::fs::write(&path, bytes).unwrap();
+            let map = Arc::new(mmap_lite::Mmap::open(&path).unwrap());
+            assert_eq!(
+                PosteriorSnapshot::open_mapped_with(&map, Integrity::Structural).unwrap_err(),
+                SnapshotError::Corrupt("delta record checksum mismatch"),
+                "{tag}"
+            );
+            // A full open trips the section checksum first.
+            assert_eq!(
+                PosteriorSnapshot::open_mapped(&map).unwrap_err(),
+                SnapshotError::Corrupt("section checksum mismatch"),
+                "{tag}"
+            );
+        }
+        std::fs::remove_dir_all(dir).ok();
+
+        // A record whose CRC covers padding past its payload still fails:
+        // it must consume exactly its declared bytes.
+        let mut padded = delta.encode_record_payload().unwrap().to_vec();
+        padded.extend_from_slice(&[0u8; 8]);
+        let mut section = BytesMut::new();
+        section.put_u32_le(1);
+        section.put_u64_le(padded.len() as u64);
+        section.put_u32_le(crc32(&padded));
+        section.extend_from_slice(&padded);
         assert_eq!(
-            PosteriorSnapshot::decode(Bytes::from(flipped)).unwrap_err(),
-            SnapshotError::Corrupt("delta record checksum mismatch")
+            PosteriorSnapshot::decode(base.encode_v5(section.as_slice()).unwrap()).unwrap_err(),
+            SnapshotError::Corrupt("delta record longer than its payload")
         );
     }
 
     /// Bytes past the end of a well-formed artifact mean a stale
     /// in-place overwrite or mangled concatenation — rejected, not
-    /// silently ignored, on both the v4 and v2 read paths.
+    /// silently ignored.
     #[test]
     fn trailing_bytes_are_rejected() {
         let snap = trained_snapshot(10, 52);
-        let mut v4 = snap.try_encode().unwrap().to_vec();
-        v4.push(0);
+        let mut raw = snap.try_encode().unwrap().to_vec();
+        raw.push(0);
         assert_eq!(
-            PosteriorSnapshot::decode(Bytes::from(v4)).unwrap_err(),
-            SnapshotError::Corrupt("trailing bytes after snapshot")
-        );
-        let mut legacy = snap.encode_with_deltas_v4(&[]).unwrap().to_vec();
-        legacy.push(0);
-        assert_eq!(
-            PosteriorSnapshot::decode(Bytes::from(legacy.clone())).unwrap_err(),
-            SnapshotError::Corrupt("trailing bytes after snapshot")
-        );
-        let mut v2 = legacy;
-        v2.pop();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        v2.truncate(v2.len() - 4);
-        v2.extend_from_slice(&[0xAA, 0xBB]);
-        assert_eq!(
-            PosteriorSnapshot::decode(Bytes::from(v2)).unwrap_err(),
+            PosteriorSnapshot::decode(Bytes::from(raw)).unwrap_err(),
             SnapshotError::Corrupt("trailing bytes after snapshot")
         );
     }
@@ -2493,19 +2143,42 @@ mod tests {
         );
     }
 
-    /// A stored v1 artifact prefix (magic "MLPS" + version 1, as every v1
-    /// snapshot began) must fail with the typed version error — not panic,
-    /// and never decode as garbage v2 slabs.
+    /// Legacy (v1–v4) artifacts fail with the typed version error on
+    /// every read path — the copying decode, the mapped open and the
+    /// engine's file open — whether the file is a short prefix or a whole
+    /// artifact carrying the old version number. They never panic and
+    /// never decode as garbage slabs.
     #[test]
-    fn v1_snapshot_prefix_fails_with_unsupported_version() {
-        // First 6 bytes of any v1 artifact: 4D4C5053 LE + 0001 LE.
-        let mut v1 = vec![0x53, 0x50, 0x4C, 0x4D, 0x01, 0x00];
-        // Arbitrary v1 payload tail — must never be interpreted.
-        v1.extend_from_slice(&[0x02, 0x01, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF]);
-        assert_eq!(
-            PosteriorSnapshot::decode(Bytes::from(v1)).unwrap_err(),
-            SnapshotError::UnsupportedVersion(1)
-        );
+    fn legacy_snapshot_versions_fail_with_unsupported_version() {
+        let gaz = Gazetteer::us_cities();
+        let full = trained_snapshot(10, 55).try_encode().unwrap().to_vec();
+        let dir = std::env::temp_dir().join(format!("mlp_snap_legacy_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for version in 1..=4u16 {
+            // Magic "MLPS" + the version, then a payload tail that must
+            // never be interpreted.
+            let mut prefix = vec![0x53, 0x50, 0x4C, 0x4D];
+            prefix.extend_from_slice(&version.to_le_bytes());
+            prefix.extend_from_slice(&[0x02, 0x01, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF]);
+            let mut relabeled = full.clone();
+            relabeled[4..6].copy_from_slice(&version.to_le_bytes());
+            for (tag, bytes) in [("prefix", prefix), ("whole", relabeled)] {
+                let want = SnapshotError::UnsupportedVersion(version);
+                let copied = PosteriorSnapshot::decode(Bytes::from(bytes.clone()));
+                assert_eq!(copied.unwrap_err(), want, "v{version} {tag}: decode");
+                let path = dir.join(format!("v{version}_{tag}.mlps"));
+                std::fs::write(&path, &bytes).unwrap();
+                let map = Arc::new(mmap_lite::Mmap::open(&path).unwrap());
+                let mapped = PosteriorSnapshot::open_mapped(&map);
+                assert_eq!(mapped.unwrap_err(), want, "v{version} {tag}: open_mapped");
+                let engine = crate::engine::ServingEngine::builder(&gaz).from_artifact_file(&path);
+                assert!(
+                    matches!(engine, Err(crate::engine::EngineError::Snapshot(ref e)) if *e == want),
+                    "v{version} {tag}: from_artifact_file"
+                );
+            }
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -2566,13 +2239,6 @@ mod tests {
             "re-encode from mapped slabs is byte-identical"
         );
 
-        // A legacy artifact routes through the copying decode unchanged.
-        let v4_path = dir.join("model_v4.mlps");
-        std::fs::write(&v4_path, snap.encode_with_deltas_v4(&[]).unwrap()).unwrap();
-        let legacy_map = Arc::new(mmap_lite::Mmap::open(&v4_path).unwrap());
-        let legacy = PosteriorSnapshot::open_mapped(&legacy_map).unwrap();
-        assert_eq!(legacy, snap);
-        assert!(!legacy.is_zero_copy(), "legacy open owns its slabs");
         std::fs::remove_dir_all(dir).ok();
     }
 

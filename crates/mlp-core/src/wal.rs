@@ -29,7 +29,7 @@
 //! header   [u32 magic "MLPW"][u16 version = 1][u16 reserved = 0]
 //!          [u64 base artifact fingerprint (FNV-1a over the file bytes)]
 //! record   [u32 magic "MLPR"][u64 payload len][u32 IEEE CRC32 of payload]
-//!          [payload — a SnapshotDelta record payload, format v4]
+//!          [payload — a SnapshotDelta record payload]
 //! ```
 //!
 //! All integers little-endian, records repeated until end of file.

@@ -21,7 +21,7 @@
 //!
 //! `train` and `refresh` both drive the [`ServingEngine`] facade: `train`
 //! cold-trains and writes the serving artifact (`PosteriorSnapshot`,
-//! format v4; `--train-users N` trains on the first `N` users only,
+//! format v5; `--train-users N` trains on the first `N` users only,
 //! leaving the rest to arrive later); `refresh` thaws the artifact into an
 //! engine and absorbs every dataset user beyond the trained count —
 //! committing posterior deltas batch by batch, one published epoch per
@@ -400,16 +400,12 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("  gazetteer fingerprint {:016x}", info.gaz_fingerprint);
             println!("  artifact fingerprint  {:016x}", mlp::core::wal::artifact_fingerprint(&raw));
             println!("  embedded delta records: {}", info.delta_records);
-            if info.sections.is_empty() {
-                println!("  legacy layout: no section table, reads via the copying decode");
-            } else {
-                println!("  section table ({} sections, 64-byte aligned):", info.sections.len());
-                for s in &info.sections {
-                    println!(
-                        "    {:<18} offset {:>12}  len {:>12}  crc {:08x}",
-                        s.name, s.offset, s.len, s.crc
-                    );
-                }
+            println!("  section table ({} sections, 64-byte aligned):", info.sections.len());
+            for s in &info.sections {
+                println!(
+                    "    {:<18} offset {:>12}  len {:>12}  crc {:08x}",
+                    s.name, s.offset, s.len, s.crc
+                );
             }
             let wal_path = format!("{path}.wal");
             match mlp::core::wal::inspect_log(std::path::Path::new(&wal_path))

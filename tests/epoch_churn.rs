@@ -1,4 +1,4 @@
-//! Epoch-churn stress suite for the lock-free publication path: readers
+//! Epoch-churn stress suite for the epoch publication path: readers
 //! hammering the engine while the writer publishes a rapid sequence of
 //! refresh commits must (a) never observe a torn epoch, (b) have every
 //! response batch byte-identical to a serial replay of the epoch it was
@@ -65,7 +65,7 @@ fn rapid_epoch_churn_is_never_torn_and_replays_serially() {
     }
     assert_eq!(replay_engine.epoch() as usize, CHURN_COMMITS);
 
-    // Live run: readers and a wait-free monitor race the churn writer.
+    // Live run: readers and an epoch monitor race the churn writer.
     let engine = ServingEngine::builder(&gaz).from_snapshot(snapshot).unwrap();
     let pinned = engine.snapshot();
     let pinned_posterior = pinned.snapshot().clone();

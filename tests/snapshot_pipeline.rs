@@ -296,7 +296,7 @@ mod posterior_proptests {
             }
         }
 
-        /// v3 artifacts carrying delta records thaw to exactly the base
+        /// Artifacts carrying delta records thaw to exactly the base
         /// with the delta applied — for arbitrary snapshot/delta shapes,
         /// including empty deltas, empty user rows, and venue cells
         /// outside the base support.

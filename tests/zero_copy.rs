@@ -7,7 +7,7 @@
 //! panic and never undefined behaviour.
 
 use bytes::Bytes;
-use mlp::core::engine::{response_determinism_hash, OpenMode};
+use mlp::core::engine::response_determinism_hash;
 use mlp::core::snapshot::{
     inspect_artifact, Integrity, PosteriorSnapshot, SnapshotError, CURRENT_ARTIFACT_VERSION,
 };
@@ -61,41 +61,35 @@ fn write_base(gaz: &Gazetteer, data: &GeneratedData, trained: usize, seed: u64, 
 /// The headline acceptance criterion: an engine serving from borrowed
 /// mapped slabs answers every profile request byte-identically to an
 /// engine that materialized the same artifact through the copying
-/// decode, and `Auto` routes a v5 artifact onto the mapped path.
+/// decode.
 #[test]
 fn mapped_engine_serves_byte_identically_to_copied() {
     let dir = tmp_dir("identical");
     let path = dir.join("model.mlps");
     let (gaz, data) = corpus(120, 11001);
     write_base(&gaz, &data, 80, 11001, &path);
+    let raw = std::fs::read(&path).unwrap();
     assert_eq!(
-        mlp::core::snapshot::artifact_version(&std::fs::read(&path).unwrap()),
-        Some(CURRENT_ARTIFACT_VERSION),
+        inspect_artifact(&raw).unwrap().version,
+        CURRENT_ARTIFACT_VERSION,
         "the writer emits v5"
     );
 
-    let mapped =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
-    let copied =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Copied).from_artifact_file(&path).unwrap();
-    let auto = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let mapped = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let copied = ServingEngine::builder(&gaz).from_artifact(Bytes::from(raw)).unwrap();
     let structural = ServingEngine::builder(&gaz)
-        .open_mode(OpenMode::Mapped)
         .integrity(Integrity::Structural)
         .from_artifact_file(&path)
         .unwrap();
-    assert!(mapped.is_mapped(), "Mapped must borrow the file");
-    assert!(!copied.is_mapped(), "Copied must own its slabs");
-    assert!(auto.is_mapped(), "Auto routes v5 onto the mapped path");
+    assert!(mapped.is_mapped(), "a file open must borrow the file");
+    assert!(!copied.is_mapped(), "the copying decode must own its slabs");
     assert!(structural.is_mapped());
 
     let reqs = requests(&data, 80..120, 80);
     let mapped_hash = response_determinism_hash(&mapped.profile_batch(&reqs).unwrap());
     let copied_hash = response_determinism_hash(&copied.profile_batch(&reqs).unwrap());
-    let auto_hash = response_determinism_hash(&auto.profile_batch(&reqs).unwrap());
     let structural_hash = response_determinism_hash(&structural.profile_batch(&reqs).unwrap());
     assert_eq!(mapped_hash, copied_hash, "mapped and copied engines must agree bit-for-bit");
-    assert_eq!(auto_hash, copied_hash);
     assert_eq!(structural_hash, copied_hash, "verification policy must not change answers");
     drop(structural);
 
@@ -104,7 +98,7 @@ fn mapped_engine_serves_byte_identically_to_copied() {
         mapped.snapshot().try_encode().unwrap().as_slice(),
         copied.snapshot().try_encode().unwrap().as_slice()
     );
-    drop((mapped, copied, auto));
+    drop((mapped, copied));
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -117,8 +111,7 @@ fn wal_deltas_overlay_the_mapped_base_on_reopen() {
     let (gaz, data) = corpus(100, 11002);
     write_base(&gaz, &data, 60, 11002, &path);
 
-    let engine =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
+    let engine = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
     assert!(engine.is_mapped() && engine.is_durable());
     let ids: Vec<UserId> = (60..80).map(UserId).collect();
     engine.refresh_from_dataset(&data.dataset, &ids, 10).unwrap();
@@ -128,8 +121,7 @@ fn wal_deltas_overlay_the_mapped_base_on_reopen() {
     let committed = engine.snapshot().try_encode().unwrap();
     drop(engine); // the kill: deltas live only in the log
 
-    let reopened =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
+    let reopened = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
     assert!(reopened.is_mapped(), "replaying the log must not force a materialized base");
     assert_eq!(reopened.recovery_report().unwrap().replayed_records, 2);
     assert_eq!(reopened.snapshot().try_encode().unwrap().as_slice(), committed.as_slice());
@@ -148,8 +140,7 @@ fn checkpoint_remaps_the_fresh_base() {
     let (gaz, data) = corpus(100, 11003);
     write_base(&gaz, &data, 60, 11003, &path);
 
-    let engine =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
+    let engine = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
     let ids: Vec<UserId> = (60..80).map(UserId).collect();
     engine.refresh_from_dataset(&data.dataset, &ids, 10).unwrap();
     let reqs = requests(&data, 80..100, 60);
