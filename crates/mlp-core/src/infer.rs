@@ -319,14 +319,24 @@ impl ProfileView for FoldInProfiles<'_> {
 }
 
 /// The count view: frozen `ϕ̄`/`φ` for everything trained, live `ϕ` for
-/// the one user being folded in. Exclude-current is handled the
-/// sequential-driver way — the chain decrements the live counts before
-/// evaluating conditionals — so the trained counts are never touched.
+/// the one user being folded in. The chain excludes a relationship by
+/// decrementing these live counts before it calls a kernel step, as the
+/// sequential sweep does with its state, and adds the new draw back after;
+/// the trained counts are never touched.
 struct FoldInCounts<'a> {
     snap: &'a PosteriorSnapshot,
     new_user: UserId,
     counts: Vec<f64>,
     total: f64,
+}
+
+impl FoldInCounts<'_> {
+    /// Adds `by` to the new user's count at candidate index `c`.
+    #[inline]
+    fn add(&mut self, c: usize, by: f64) {
+        self.counts[c] += by;
+        self.total += by;
+    }
 }
 
 impl CountView for FoldInCounts<'_> {
@@ -648,44 +658,17 @@ impl<'a> FoldInEngine<'a> {
                     }
                 }
             }
-            has_signal.then(|| {
-                scores
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(c, _)| c)
-                    .expect("non-empty candidates")
-            })
+            kernel::init_mode(None, has_signal, &scores)
         };
-        let pos = |rng: &mut Pcg64| -> usize {
-            match mode {
-                Some(m) if rng.bernoulli(0.9) => m,
-                _ => rng.next_bounded(profiles.candidates.len()),
-            }
-        };
+        let pos = |rng: &mut Pcg64| kernel::init_position(rng, mode, profiles.candidates.len());
 
-        let mut mu: Vec<bool> = Vec::with_capacity(anchors.len());
-        let mut x: Vec<usize> = Vec::with_capacity(anchors.len());
-        for _ in &anchors {
-            mu.push(rng.bernoulli(snap.rho_f));
-            x.push(pos(&mut rng));
-        }
-        let mut nu: Vec<bool> = Vec::with_capacity(mentions.len());
-        let mut z: Vec<usize> = Vec::with_capacity(mentions.len());
-        for _ in mentions {
-            nu.push(rng.bernoulli(snap.rho_t));
-            z.push(pos(&mut rng));
-        }
-        for (s, _) in anchors.iter().enumerate() {
-            if !mu[s] || count_noisy {
-                counts.counts[x[s]] += 1.0;
-                counts.total += 1.0;
-            }
-        }
-        for (k, _) in mentions.iter().enumerate() {
-            if !nu[k] || count_noisy {
-                counts.counts[z[k]] += 1.0;
-                counts.total += 1.0;
+        let (mut mu, mut x): (Vec<bool>, Vec<usize>) =
+            anchors.iter().map(|_| (rng.bernoulli(snap.rho_f), pos(&mut rng))).unzip();
+        let (mut nu, mut z): (Vec<bool>, Vec<usize>) =
+            mentions.iter().map(|_| (rng.bernoulli(snap.rho_t), pos(&mut rng))).unzip();
+        for (&noisy, &c) in mu.iter().zip(&x).chain(nu.iter().zip(&z)) {
+            if !noisy || count_noisy {
+                counts.add(c, 1.0);
             }
         }
 
@@ -704,8 +687,7 @@ impl<'a> FoldInEngine<'a> {
             for (s, anchor) in anchors.iter().enumerate() {
                 let (old_mu, old_x) = (mu[s], x[s]);
                 if !old_mu || count_noisy {
-                    counts.counts[old_x] -= 1.0;
-                    counts.total -= 1.0;
+                    counts.add(old_x, -1.0);
                 }
                 let me = Endpoint { user: new_user, pos: old_x, city: profiles.candidates[old_x] };
                 let (w_based, w_noisy) = kernel::edge_selector_weights(&view, &counts, me, *anchor);
@@ -720,34 +702,19 @@ impl<'a> FoldInEngine<'a> {
                 let new_x = sample_categorical(&mut rng, &buf)
                     .expect("fold-in x weights are positive (γ > 0)");
                 if !new_mu || count_noisy {
-                    counts.counts[new_x] += 1.0;
-                    counts.total += 1.0;
+                    counts.add(new_x, 1.0);
                 }
                 mu[s] = new_mu;
                 x[s] = new_x;
             }
             for (k, &v) in mentions.iter().enumerate() {
-                let (old_nu, old_z) = (nu[k], z[k]);
-                if !old_nu || count_noisy {
-                    counts.counts[old_z] -= 1.0;
-                    counts.total -= 1.0;
+                if !nu[k] || count_noisy {
+                    counts.add(z[k], -1.0);
                 }
-                let old_city = profiles.candidates[old_z];
-                let (w_based, w_noisy) =
-                    kernel::mention_selector_weights(&view, &counts, new_user, old_z, old_city, v);
-                let new_nu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
-                kernel::mention_position_weights(
-                    &view,
-                    &counts,
-                    new_user,
-                    (!new_nu).then_some(v),
-                    &mut buf,
-                );
-                let new_z = sample_categorical(&mut rng, &buf)
-                    .expect("fold-in z weights are positive (γ > 0)");
+                let (new_nu, new_z) =
+                    kernel::mention_step(&view, &counts, (new_user, z[k]), v, &mut rng, &mut buf);
                 if !new_nu || count_noisy {
-                    counts.counts[new_z] += 1.0;
-                    counts.total += 1.0;
+                    counts.add(new_z, 1.0);
                 }
                 nu[k] = new_nu;
                 z[k] = new_z;

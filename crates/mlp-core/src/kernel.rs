@@ -1,4 +1,5 @@
-//! The stateless Gibbs conditional kernel (paper Eqs. 5–9).
+//! The stateless Gibbs conditional kernel (paper Eqs. 5–9) and the two
+//! Gibbs steps built on it.
 //!
 //! Every conditional the sampler draws from — the edge selector `μ_s`, the
 //! edge assignments `x_s`/`y_s`, the mention selector `ν_k`, and the mention
@@ -9,15 +10,27 @@
 //! * a [`CountView`]: the collapsed counts `ϕ`/`φ` *with the relationship
 //!   being resampled already excluded*.
 //!
-//! Both sweep drivers are thin shells over this module. The sequential
-//! driver ([`crate::sampler`]) excludes the current relationship by
-//! decrementing the live [`SamplerState`] before calling in; the chunked
-//! parallel driver ([`crate::parallel`]) reads the counts frozen for the
-//! duration of the scoped fork-join (nobody writes until every chunk has
-//! been joined) and excludes arithmetically via [`EdgeExcluded`] /
-//! [`MentionExcluded`]. Because the weight math lives only here, the two
-//! drivers cannot drift numerically — the
-//! `kernel_weights_identical_across_drivers` test pins this down.
+//! The draws are written once too: `edge_step` makes a following
+//! relationship's draws (`μ_s`, then `x_s`, then `y_s`) and `mention_step`
+//! a tweeting relationship's (`ν_k`, then `z_k`); `init_mode` and
+//! `init_position` pick and draw the mode-biased initial assignment every
+//! chain starts from. Each chain driver calls these and owns only its
+//! count bookkeeping and RNG streams:
+//!
+//! * the sequential sweep ([`crate::sampler`]) excludes the relationship by
+//!   decrementing the live [`SamplerState`], then adds the new draw back;
+//! * the AD-LDA chunk workers ([`crate::parallel`]) read counts frozen for
+//!   the fork-join, exclude arithmetically through [`EdgeExcluded`] /
+//!   [`MentionExcluded`], and record changes in flat delta slabs;
+//! * the sharded super-sweep ([`crate::shard`]) reads frozen global counts
+//!   plus the shard's own delta and working `φ`, through the same wrappers;
+//! * the fold-in chain ([`crate::infer`]) decrements the one live user's
+//!   counts and calls `mention_step`; its edge step, which redraws only
+//!   the new user's side against a fixed anchor, is its own.
+//!
+//! The `kernel_weights_identical_across_drivers` test pins that live
+//! decrement and arithmetic exclusion give bit-identical weights and
+//! draws.
 //!
 //! The kernel never sees the count *layout*: [`SamplerState`] answers
 //! [`CountView`] lookups from its columnar CSR arenas
@@ -30,6 +43,7 @@ use crate::random_models::RandomModels;
 use crate::state::SamplerState;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_geo::PowerLaw;
+use mlp_sampling::{sample_categorical, Pcg64};
 use mlp_social::UserId;
 
 /// Per-user candidate lists and priors as the kernel consumes them.
@@ -398,128 +412,202 @@ pub fn mention_position_weights<P: ProfileView + ?Sized>(
     }
 }
 
+// ---------------------------------------------------------------------------
+// The Gibbs steps.
+// ---------------------------------------------------------------------------
+
+/// One Gibbs step for the following relationship `⟨i,j⟩` (Eqs. 5, 7, 8):
+/// draws `μ_s`, then `x_s` given `μ_s`, then `y_s` given the new `x_s`.
+///
+/// `counts` must already exclude the edge; `old_x`/`old_y` are its current
+/// assignments as candidate indices. Returns the new `(μ_s, x_s, y_s)`.
+pub(crate) fn edge_step<P: ProfileView + ?Sized>(
+    view: &SamplerView<'_, P>,
+    counts: &impl CountView,
+    (i, old_x): (UserId, usize),
+    (j, old_y): (UserId, usize),
+    rng: &mut Pcg64,
+    buf: &mut Vec<f64>,
+) -> (bool, usize, usize) {
+    let ci = view.candidacy.candidates(i);
+    let y_city = view.candidacy.candidates(j)[old_y];
+    let (w_based, w_noisy) = edge_selector_weights(
+        view,
+        counts,
+        Endpoint { user: i, pos: old_x, city: ci[old_x] },
+        Endpoint { user: j, pos: old_y, city: y_city },
+    );
+    let mu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
+    edge_position_weights(view, counts, i, (!mu).then_some(y_city), buf);
+    let x = sample_categorical(rng, buf).expect("x weights are positive (γ > 0)");
+    edge_position_weights(view, counts, j, (!mu).then_some(ci[x]), buf);
+    let y = sample_categorical(rng, buf).expect("y weights are positive (γ > 0)");
+    (mu, x, y)
+}
+
+/// One Gibbs step for user `i`'s mention of venue `v` (Eqs. 6, 9): draws
+/// `ν_k`, then `z_k` given `ν_k`.
+///
+/// `counts` must already exclude the mention; `old_z` is its current
+/// assignment as a candidate index. Returns the new `(ν_k, z_k)`.
+pub(crate) fn mention_step<P: ProfileView + ?Sized>(
+    view: &SamplerView<'_, P>,
+    counts: &impl CountView,
+    (i, old_z): (UserId, usize),
+    v: VenueId,
+    rng: &mut Pcg64,
+    buf: &mut Vec<f64>,
+) -> (bool, usize) {
+    let old_city = view.candidacy.candidates(i)[old_z];
+    let (w_based, w_noisy) = mention_selector_weights(view, counts, i, old_z, old_city, v);
+    let nu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
+    mention_position_weights(view, counts, i, (!nu).then_some(v), buf);
+    let z = sample_categorical(rng, buf).expect("z weights are positive (γ > 0)");
+    (nu, z)
+}
+
+/// A user's initial mode, given their scored candidates: the registered
+/// city's index when labeled, else the best-scoring candidate when any
+/// evidence was scored, else none.
+pub(crate) fn init_mode(
+    registered: Option<usize>,
+    has_signal: bool,
+    scores: &[f64],
+) -> Option<usize> {
+    if registered.is_some() || !has_signal {
+        return registered;
+    }
+    scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(c, _)| c)
+}
+
+/// The initial assignment of one relationship endpoint: the user's
+/// initial `mode` with probability 0.9, otherwise uniform over their
+/// `len` candidates. The 0.9 coin is only tossed when there is a mode.
+pub(crate) fn init_position(rng: &mut Pcg64, mode: Option<usize>, len: usize) -> usize {
+    match mode {
+        Some(mode) if rng.bernoulli(0.9) => mode,
+        _ => rng.next_bounded(len),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random_models::RandomModels;
-    use crate::sampler::GibbsSampler;
-    use mlp_social::{Adjacency, Generator, GeneratorConfig};
+    use crate::sampler::tests::Fixture;
 
-    /// The load-bearing invariant of the refactor: for the same exclusion
-    /// context, the kernel produces bit-identical weights whether counts
-    /// come from the live state (sequential driver) or from a frozen
-    /// snapshot with arithmetic exclusion (chunked driver).
+    /// What the kernel derives for edge `⟨i,j⟩` from one count view: the
+    /// selector weights, the `x` weights against the current partner, and
+    /// the edge step's draw from an RNG seeded with `seed`.
+    fn edge_outputs(
+        view: &SamplerView<'_>,
+        counts: &impl CountView,
+        (i, xi): (UserId, usize),
+        (j, yj): (UserId, usize),
+        seed: u64,
+    ) -> ((f64, f64), Vec<f64>, (bool, usize, usize)) {
+        let x_city = view.candidacy.candidates(i)[xi];
+        let y_city = view.candidacy.candidates(j)[yj];
+        let fe = Endpoint { user: i, pos: xi, city: x_city };
+        let fr = Endpoint { user: j, pos: yj, city: y_city };
+        let mut weights = Vec::new();
+        edge_position_weights(view, counts, i, Some(y_city), &mut weights);
+        let mut buf = Vec::new();
+        let draw = edge_step(view, counts, (i, xi), (j, yj), &mut Pcg64::new(seed), &mut buf);
+        (edge_selector_weights(view, counts, fe, fr), weights, draw)
+    }
+
+    /// [`edge_outputs`] for user `i`'s mention of venue `v`.
+    fn mention_outputs(
+        view: &SamplerView<'_>,
+        counts: &impl CountView,
+        (i, zi): (UserId, usize),
+        v: VenueId,
+        seed: u64,
+    ) -> ((f64, f64), Vec<f64>, (bool, usize)) {
+        let z_city = view.candidacy.candidates(i)[zi];
+        let mut weights = Vec::new();
+        mention_position_weights(view, counts, i, Some(v), &mut weights);
+        let mut buf = Vec::new();
+        let draw = mention_step(view, counts, (i, zi), v, &mut Pcg64::new(seed), &mut buf);
+        (mention_selector_weights(view, counts, i, zi, z_city, v), weights, draw)
+    }
+
+    /// The load-bearing invariant of the shared steps: for the same
+    /// relationship and RNG seed, the kernel produces bit-identical weights
+    /// and draws whether the relationship is excluded by live decrement
+    /// (the sequential sweep, the fold-in chain) or arithmetically by
+    /// [`EdgeExcluded`]/[`MentionExcluded`] (the AD-LDA and sharded
+    /// drivers), with and without `count_noisy_assignments`.
     #[test]
     fn kernel_weights_identical_across_drivers() {
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(
-            &gaz,
-            GeneratorConfig { num_users: 120, seed: 31, ..Default::default() },
-        )
-        .generate();
-        let config = MlpConfig::default();
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
-        sampler.sweep();
-        let view = SamplerView {
-            gaz: &gaz,
-            candidacy: &cand,
-            random: &random,
-            config: &config,
-            power_law: sampler.power_law,
-        };
+        for count_noisy in [false, true] {
+            let config = MlpConfig { count_noisy_assignments: count_noisy, ..Default::default() };
+            let f = Fixture::new(120, 31, config);
+            let (data, cand) = (&f.dataset, &f.cand);
+            let mut sampler = f.sampler();
+            sampler.sweep();
+            let view = sampler.view();
 
-        let mut live_buf = Vec::new();
-        let mut snap_buf = Vec::new();
+            for s in 0..data.num_edges().min(200) {
+                let e = data.edges[s];
+                let (i, j) = (e.follower, e.friend);
+                let state = &mut sampler.state;
+                let (mu, xi, yj) = (state.mu[s], state.x[s] as usize, state.y[s] as usize);
+                let counted = !mu || count_noisy;
 
-        // Edges: exclude via live decrement vs. arithmetic wrapper.
-        for s in 0..data.dataset.num_edges().min(200) {
-            let e = data.dataset.edges[s];
-            let (i, j) = (e.follower, e.friend);
-            let (mu, xi, yj) =
-                (sampler.state.mu[s], sampler.state.x[s] as usize, sampler.state.y[s] as usize);
-            let counted = !mu || config.count_noisy_assignments;
-            let x_city = cand.candidates(i)[xi];
-            let y_city = cand.candidates(j)[yj];
-
-            if counted {
-                sampler.state.remove_user(i, xi);
-                sampler.state.remove_user(j, yj);
-            }
-            let fe = Endpoint { user: i, pos: xi, city: x_city };
-            let fr = Endpoint { user: j, pos: yj, city: y_city };
-            let live_sel = edge_selector_weights(&view, &sampler.state, fe, fr);
-            edge_position_weights(&view, &sampler.state, i, Some(y_city), &mut live_buf);
-            if counted {
-                sampler.state.add_user(i, xi);
-                sampler.state.add_user(j, yj);
+                if counted {
+                    state.remove_user(i, xi);
+                    state.remove_user(j, yj);
+                }
+                let live = edge_outputs(&view, &*state, (i, xi), (j, yj), s as u64);
+                if counted {
+                    state.add_user(i, xi);
+                    state.add_user(j, yj);
+                }
+                let excluded = EdgeExcluded::new(&*state, counted, i, xi, j, yj);
+                let arithmetic = edge_outputs(&view, &excluded, (i, xi), (j, yj), s as u64);
+                assert_eq!(live, arithmetic, "edge {s} (count_noisy {count_noisy}) differs");
             }
 
-            let excluded = EdgeExcluded::new(&sampler.state, counted, i, xi, j, yj);
-            let snap_sel = edge_selector_weights(&view, &excluded, fe, fr);
-            edge_position_weights(&view, &excluded, i, Some(y_city), &mut snap_buf);
+            for k in 0..data.num_mentions().min(200) {
+                let m = data.mentions[k];
+                let (i, v) = (m.user, m.venue);
+                let state = &mut sampler.state;
+                let (nu, zi) = (state.nu[k], state.z[k] as usize);
+                let counted = !nu || count_noisy;
+                let old_city = cand.candidates(i)[zi];
 
-            assert_eq!(live_sel, snap_sel, "edge {s} selector weights differ");
-            assert_eq!(live_buf, snap_buf, "edge {s} position weights differ");
-        }
-
-        // Mentions: same, with the venue-count exclusion in play.
-        for k in 0..data.dataset.num_mentions().min(200) {
-            let m = data.dataset.mentions[k];
-            let (i, v) = (m.user, m.venue);
-            let (nu, zi) = (sampler.state.nu[k], sampler.state.z[k] as usize);
-            let counted = !nu || config.count_noisy_assignments;
-            let old_city = cand.candidates(i)[zi];
-
-            if counted {
-                sampler.state.remove_user(i, zi);
+                if counted {
+                    state.remove_user(i, zi);
+                }
+                if !nu {
+                    state.remove_venue(old_city, v);
+                }
+                let live = mention_outputs(&view, &*state, (i, zi), v, k as u64);
+                if counted {
+                    state.add_user(i, zi);
+                }
+                if !nu {
+                    state.add_venue(old_city, v);
+                }
+                let excluded = MentionExcluded::new(&*state, counted, !nu, i, zi, old_city, v);
+                let arithmetic = mention_outputs(&view, &excluded, (i, zi), v, k as u64);
+                assert_eq!(live, arithmetic, "mention {k} (count_noisy {count_noisy}) differs");
             }
-            if !nu {
-                sampler.state.remove_venue(old_city, v);
-            }
-            let live_sel = mention_selector_weights(&view, &sampler.state, i, zi, old_city, v);
-            mention_position_weights(&view, &sampler.state, i, Some(v), &mut live_buf);
-            if counted {
-                sampler.state.add_user(i, zi);
-            }
-            if !nu {
-                sampler.state.add_venue(old_city, v);
-            }
-
-            let excluded = MentionExcluded::new(&sampler.state, counted, !nu, i, zi, old_city, v);
-            let snap_sel = mention_selector_weights(&view, &excluded, i, zi, old_city, v);
-            mention_position_weights(&view, &excluded, i, Some(v), &mut snap_buf);
-
-            assert_eq!(live_sel, snap_sel, "mention {k} selector weights differ");
-            assert_eq!(live_buf, snap_buf, "mention {k} position weights differ");
         }
     }
 
     #[test]
     fn noisy_branches_drop_the_evidence_factor() {
-        let gaz = Gazetteer::us_cities();
-        let data =
-            Generator::new(&gaz, GeneratorConfig { num_users: 60, seed: 37, ..Default::default() })
-                .generate();
-        let config = MlpConfig::default();
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-        let sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
-        let view = SamplerView {
-            gaz: &gaz,
-            candidacy: &cand,
-            random: &random,
-            config: &config,
-            power_law: sampler.power_law,
-        };
-        let u = data.dataset.edges[0].follower;
+        let f = Fixture::new(60, 37, MlpConfig::default());
+        let (data, cand) = (&f.dataset, &f.cand);
+        let sampler = f.sampler();
+        let view = sampler.view();
+        let u = data.edges[0].follower;
         let mut with = Vec::new();
         let mut without = Vec::new();
         edge_position_weights(&view, &sampler.state, u, None, &mut without);
-        let anchor = cand.candidates(data.dataset.edges[0].friend)[0];
+        let anchor = cand.candidates(data.edges[0].friend)[0];
         edge_position_weights(&view, &sampler.state, u, Some(anchor), &mut with);
         assert_eq!(with.len(), without.len());
         // The noisy branch must be a pure profile draw: every weight equals

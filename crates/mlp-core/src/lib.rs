@@ -25,10 +25,11 @@
 //! * [`count_store`] — columnar CSR count arenas (sparse venue counts
 //!   with dense fallback) shared by the sampler state and its drivers;
 //! * [`state`] — assignment state and collapsed count bookkeeping;
-//! * [`kernel`] — the stateless conditional-weight kernel (Eqs. 5–9),
-//!   shared by both sweep drivers;
-//! * [`sampler`] — the sequential sweep driver;
-//! * [`parallel`] — the AD-LDA-style chunked parallel sweep driver;
+//! * [`kernel`] — the stateless conditional-weight kernel (Eqs. 5–9) and
+//!   the one edge step and one mention step every Gibbs chain draws with;
+//! * [`sampler`] — the sequential sweep driver (live count decrement);
+//! * [`parallel`] — the AD-LDA-style chunked parallel sweep driver
+//!   (frozen counts, per-worker delta slabs);
 //! * [`shard`] — out-of-core training: sampler state sharded by user
 //!   partition over a disk-streamed corpus, with periodic count
 //!   reconciliation between super-sweeps;
@@ -39,7 +40,8 @@
 //!   v5 with a 64-byte-aligned section table for zero-copy mapped opens
 //!   and CRC-framed mergeable delta records) for warm-start serving;
 //! * [`infer`] — the fold-in engine predicting *unseen* users against a
-//!   frozen snapshot, sequentially or batched across scoped threads;
+//!   frozen snapshot, sequentially or batched across scoped threads (its
+//!   chain draws mentions with the kernel's mention step);
 //! * [`online`] — incremental posterior refresh: absorbing new users into
 //!   mergeable [`snapshot::SnapshotDelta`]s and committing them without a
 //!   retrain, under a bounded staleness policy;

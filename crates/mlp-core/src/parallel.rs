@@ -1,45 +1,38 @@
-//! Approximate parallel Gibbs sweep (AD-LDA style), as a thin driver over
-//! [`crate::kernel`].
+//! Approximate parallel Gibbs sweep (AD-LDA style).
 //!
 //! The paper's dataset has ~160K users and millions of relationships; a
 //! sequential sweep is the bottleneck at that scale. Following the standard
-//! approximate-distributed-LDA recipe, a parallel sweep:
+//! approximate-distributed-LDA recipe, a parallel sweep partitions
+//! relationships into `threads` contiguous chunks and runs the edge and
+//! mention steps of [`crate::kernel`], shared with every other chain, on
+//! all chunks concurrently against the sweep-start counts. Each
+//! relationship still excludes its *own* contribution, arithmetically via
+//! [`EdgeExcluded`]/[`MentionExcluded`], but sees stale counts for
+//! relationships resampled in other chunks.
 //!
-//! 1. partitions relationships into `threads` contiguous chunks;
-//! 2. resamples every chunk concurrently against the sweep-start counts
-//!    (each relationship still excludes its *own* current contribution —
-//!    [`EdgeExcluded`]/[`MentionExcluded`] apply that arithmetically — but
-//!    sees stale counts for relationships resampled in other chunks),
-//!    while accumulating its count changes into flat per-thread *delta
-//!    slabs* indexed by the state's stable slot space;
-//! 3. writes the new assignments back and merges each thread's deltas with
-//!    one index-wise vectorizable add per slab — no per-relationship
-//!    hash/search work on the merge path, and no count rebuild.
+//! This driver owns the rest:
 //!
-//! Two things are deliberately *absent*:
+//! * the per-chunk RNG streams, derived from `(seed, sweep, chunk)`;
+//! * the fork-join: `std::thread::scope` lets every worker share a plain
+//!   `&SamplerState`, frozen because nothing writes until every chunk is
+//!   joined, so no state is cloned;
+//! * flat per-worker *delta slabs* in the state's stable slot space,
+//!   written back with one index-wise add per slab. Integer deltas
+//!   commute, so the merged counts are exactly what the sequential
+//!   remove/add bookkeeping would produce, with no rebuild
+//!   (`check_consistency` in the tests pins it).
 //!
-//! * **No state clone.** `std::thread::scope` lets every worker share a
-//!   plain `&SamplerState`: the counts are frozen for the duration of the
-//!   fork-join because nothing writes until all chunks are joined. The seed
-//!   implementation cloned the full `SamplerState` (assignments and
-//!   accumulators included) every sweep.
-//! * **No full count rebuild.** Integer count deltas commute, so applying
-//!   the per-thread slabs in any order lands on exactly the counts the
-//!   sequential remove/add bookkeeping would produce; `check_consistency`
-//!   in the tests pins the equivalence.
-//!
-//! The stale reads make this an approximation of the exact chain, but the
-//! stationary behaviour is empirically indistinguishable at our scales —
-//! the `parallel_matches_sequential_quality` test and the ablation bench
-//! quantify it. With `threads == 1` the driver falls back to the exact
-//! sequential sweep, so single-threaded results are byte-identical to
+//! The stale reads make this an approximation of the exact chain; the
+//! `parallel_matches_sequential_quality` test bounds the accuracy cost.
+//! With `threads == 1` the driver falls back to the exact sequential
+//! sweep, so single-threaded results are byte-identical to
 //! [`GibbsSampler::sweep`].
 
-use crate::kernel::{self, EdgeExcluded, Endpoint, MentionExcluded, SamplerView};
+use crate::kernel::{self, EdgeExcluded, MentionExcluded, SamplerView};
 use crate::sampler::{GibbsSampler, SweepChanges};
 use crate::state::SamplerState;
-use mlp_sampling::{sample_categorical, Pcg64, SplitMix64};
-use mlp_social::Dataset;
+use mlp_sampling::{Pcg64, SplitMix64};
+use mlp_social::{Dataset, UserId};
 use std::ops::Range;
 
 /// Flat ϕ count deltas accumulated by one worker: per-slot changes plus
@@ -58,6 +51,13 @@ struct UserDelta {
 impl UserDelta {
     fn new(state: &SamplerState, num_users: usize) -> Self {
         Self { slots: vec![0; state.num_user_slots()], totals: vec![0; num_users] }
+    }
+
+    /// Adds `by` to user `u`'s count at candidate index `c`.
+    #[inline]
+    fn add(&mut self, state: &SamplerState, u: UserId, c: usize, by: i32) {
+        self.slots[state.user_slot(u, c)] += by;
+        self.totals[u.index()] += by;
     }
 }
 
@@ -170,50 +170,25 @@ fn resample_edge_chunk(
     for s in range {
         let e = dataset.edges[s];
         let (i, j) = (e.follower, e.friend);
-        let ci = view.candidacy.candidates(i);
-        let cj = view.candidacy.candidates(j);
         let (old_mu, old_x, old_y) = (state.mu[s], state.x[s] as usize, state.y[s] as usize);
         let counted = !old_mu || count_noisy;
         let counts = EdgeExcluded::new(state, counted, i, old_x, j, old_y);
-
-        let x_city = ci[old_x];
-        let y_city = cj[old_y];
-
-        // --- μ_s | rest (Eq. 5) ---
-        let (w_based, w_noisy) = kernel::edge_selector_weights(
-            &view,
-            &counts,
-            Endpoint { user: i, pos: old_x, city: x_city },
-            Endpoint { user: j, pos: old_y, city: y_city },
-        );
-        let new_mu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
-
-        // --- x_s | rest (Eq. 7) ---
-        kernel::edge_position_weights(&view, &counts, i, (!new_mu).then_some(y_city), &mut buf);
-        let new_x = sample_categorical(&mut rng, &buf).expect("x weights are positive (γ > 0)");
-        let x_city = ci[new_x];
-
-        // --- y_s | rest (Eq. 8) ---
-        kernel::edge_position_weights(&view, &counts, j, (!new_mu).then_some(x_city), &mut buf);
-        let new_y = sample_categorical(&mut rng, &buf).expect("y weights are positive (γ > 0)");
+        let (mu, x, y) =
+            kernel::edge_step(&view, &counts, (i, old_x), (j, old_y), &mut rng, &mut buf);
 
         if counted {
-            out.delta.slots[state.user_slot(i, old_x)] -= 1;
-            out.delta.slots[state.user_slot(j, old_y)] -= 1;
-            out.delta.totals[i.index()] -= 1;
-            out.delta.totals[j.index()] -= 1;
+            out.delta.add(state, i, old_x, -1);
+            out.delta.add(state, j, old_y, -1);
         }
-        if !new_mu || count_noisy {
-            out.delta.slots[state.user_slot(i, new_x)] += 1;
-            out.delta.slots[state.user_slot(j, new_y)] += 1;
-            out.delta.totals[i.index()] += 1;
-            out.delta.totals[j.index()] += 1;
+        if !mu || count_noisy {
+            out.delta.add(state, i, x, 1);
+            out.delta.add(state, j, y, 1);
         }
-        out.changed += (new_mu != old_mu || new_x != old_x || new_y != old_y) as usize;
+        out.changed += ((mu, x, y) != (old_mu, old_x, old_y)) as usize;
 
-        out.mu.push(new_mu);
-        out.x.push(new_x as u16);
-        out.y.push(new_y as u16);
+        out.mu.push(mu);
+        out.x.push(x as u16);
+        out.y.push(y as u16);
     }
     out
 }
@@ -247,37 +222,27 @@ fn resample_mention_chunk(
         let counted = !old_nu || count_noisy;
         let old_city = ci[old_z];
         let counts = MentionExcluded::new(state, counted, !old_nu, i, old_z, old_city, v);
-
-        // --- ν_k | rest (Eq. 6) ---
-        let (w_based, w_noisy) =
-            kernel::mention_selector_weights(&view, &counts, i, old_z, old_city, v);
-        let new_nu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
-
-        // --- z_k | rest (Eq. 9) ---
-        kernel::mention_position_weights(&view, &counts, i, (!new_nu).then_some(v), &mut buf);
-        let new_z = sample_categorical(&mut rng, &buf).expect("z weights are positive (γ > 0)");
+        let (nu, z) = kernel::mention_step(&view, &counts, (i, old_z), v, &mut rng, &mut buf);
 
         if counted {
-            out.delta.slots[state.user_slot(i, old_z)] -= 1;
-            out.delta.totals[i.index()] -= 1;
+            out.delta.add(state, i, old_z, -1);
         }
-        if !new_nu || count_noisy {
-            out.delta.slots[state.user_slot(i, new_z)] += 1;
-            out.delta.totals[i.index()] += 1;
+        if !nu || count_noisy {
+            out.delta.add(state, i, z, 1);
         }
         if !old_nu {
             out.venue_slots[state.venue_slot(old_city, v)] -= 1;
             out.city_totals[old_city.index()] -= 1;
         }
-        if !new_nu {
-            let new_city = ci[new_z];
+        if !nu {
+            let new_city = ci[z];
             out.venue_slots[state.venue_slot(new_city, v)] += 1;
             out.city_totals[new_city.index()] += 1;
         }
-        out.changed += (new_nu != old_nu || new_z != old_z) as usize;
+        out.changed += ((nu, z) != (old_nu, old_z)) as usize;
 
-        out.nu.push(new_nu);
-        out.z.push(new_z as u16);
+        out.nu.push(nu);
+        out.z.push(z as u16);
     }
     out
 }
@@ -332,11 +297,8 @@ pub(crate) fn chunk_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidacy::Candidacy;
     use crate::config::MlpConfig;
-    use crate::random_models::RandomModels;
-    use mlp_gazetteer::Gazetteer;
-    use mlp_social::{Adjacency, Generator, GeneratorConfig};
+    use crate::sampler::tests::Fixture;
 
     #[test]
     fn chunks_cover_everything() {
@@ -355,44 +317,27 @@ mod tests {
 
     #[test]
     fn parallel_sweep_keeps_counts_exact() {
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(
-            &gaz,
-            GeneratorConfig { num_users: 200, seed: 51, ..Default::default() },
-        )
-        .generate();
-        let config = MlpConfig { threads: 4, ..Default::default() };
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
+        let f = Fixture::new(200, 51, MlpConfig { threads: 4, ..Default::default() });
+        let mut sampler = f.sampler();
         for sweep in 0..3 {
             parallel_sweep(&mut sampler, sweep);
             sampler
                 .state
-                .check_consistency(&data.dataset, &cand, false, true, true)
+                .check_consistency(&f.dataset, &f.cand, false, true, true)
                 .expect("flat delta merge must equal a rebuild");
         }
     }
 
     #[test]
     fn incremental_merge_exact_with_count_noisy() {
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(
-            &gaz,
-            GeneratorConfig { num_users: 150, seed: 59, ..Default::default() },
-        )
-        .generate();
         let config = MlpConfig { threads: 3, count_noisy_assignments: true, ..Default::default() };
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
+        let f = Fixture::new(150, 59, config);
+        let mut sampler = f.sampler();
         for sweep in 0..3 {
             parallel_sweep(&mut sampler, sweep);
             sampler
                 .state
-                .check_consistency(&data.dataset, &cand, true, true, true)
+                .check_consistency(&f.dataset, &f.cand, true, true, true)
                 .expect("count-noisy delta merge must also be exact");
         }
     }
@@ -401,18 +346,9 @@ mod tests {
     fn parallel_matches_sequential_quality() {
         // Both samplers should recover labeled users' registered cities at
         // comparable rates — the approximation must not break inference.
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(
-            &gaz,
-            GeneratorConfig { num_users: 400, seed: 53, ..Default::default() },
-        )
-        .generate();
         let accuracy = |threads: usize| {
-            let config = MlpConfig { threads, ..Default::default() };
-            let adj = Adjacency::build(&data.dataset);
-            let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-            let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-            let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
+            let f = Fixture::new(400, 53, MlpConfig { threads, ..Default::default() });
+            let mut sampler = f.sampler();
             for sweep in 0..10 {
                 parallel_sweep(&mut sampler, sweep);
                 if sweep >= 5 {
@@ -420,15 +356,15 @@ mod tests {
                 }
             }
             let mut hits = 0usize;
-            for u in 0..data.dataset.num_users() {
-                let user = mlp_social::UserId(u as u32);
-                if let Some(home) = data.dataset.registered[u] {
+            for u in 0..f.dataset.num_users() {
+                let user = UserId(u as u32);
+                if let Some(home) = f.dataset.registered[u] {
                     if sampler.estimate_theta(user)[0].0 == home {
                         hits += 1;
                     }
                 }
             }
-            hits as f64 / data.dataset.num_labeled() as f64
+            hits as f64 / f.dataset.num_labeled() as f64
         };
         let seq = accuracy(1);
         let par = accuracy(4);
@@ -438,16 +374,8 @@ mod tests {
 
     #[test]
     fn single_thread_falls_back_to_sequential() {
-        let gaz = Gazetteer::us_cities();
-        let data =
-            Generator::new(&gaz, GeneratorConfig { num_users: 50, seed: 57, ..Default::default() })
-                .generate();
-        let config = MlpConfig { threads: 1, ..Default::default() };
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
-        let changes = parallel_sweep(&mut sampler, 0);
+        let f = Fixture::new(50, 57, MlpConfig { threads: 1, ..Default::default() });
+        let changes = parallel_sweep(&mut f.sampler(), 0);
         assert!(changes.edges + changes.mentions > 0);
     }
 
@@ -455,19 +383,9 @@ mod tests {
     /// to the sequential sweep: same assignments, same RNG stream.
     #[test]
     fn single_thread_is_byte_identical_to_sequential() {
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(
-            &gaz,
-            GeneratorConfig { num_users: 120, seed: 61, ..Default::default() },
-        )
-        .generate();
-        let config = MlpConfig { threads: 1, ..Default::default() };
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-
-        let mut seq = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
-        let mut par = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
+        let f = Fixture::new(120, 61, MlpConfig { threads: 1, ..Default::default() });
+        let mut seq = f.sampler();
+        let mut par = f.sampler();
         for sweep in 0..4 {
             let a = seq.sweep();
             let b = parallel_sweep(&mut par, sweep);
@@ -487,18 +405,9 @@ mod tests {
     /// thread counts legitimately differ — chunk boundaries move.)
     #[test]
     fn thread_count_does_not_change_chunked_results() {
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(
-            &gaz,
-            GeneratorConfig { num_users: 150, seed: 67, ..Default::default() },
-        )
-        .generate();
         let run = |threads: usize| {
-            let config = MlpConfig { threads, ..Default::default() };
-            let adj = Adjacency::build(&data.dataset);
-            let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-            let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-            let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
+            let f = Fixture::new(150, 67, MlpConfig { threads, ..Default::default() });
+            let mut sampler = f.sampler();
             for sweep in 0..3 {
                 parallel_sweep(&mut sampler, sweep);
             }

@@ -3,11 +3,12 @@
 //! One sweep resamples, for every following relationship, the model
 //! selector `μ_s` and both location assignments `(x_s, y_s)`, and for every
 //! tweeting relationship the selector `ν_k` and assignment `z_k`, each from
-//! its conditional posterior given everything else. The conditional weight
-//! math itself (Eqs. 5–9) lives in [`crate::kernel`] and is shared verbatim
-//! with the chunked parallel driver; this module owns only the *driver*
-//! concerns — exclude-current count bookkeeping, the RNG stream, and the
-//! sweep loop.
+//! its conditional posterior given everything else. The draws themselves
+//! are the edge and mention steps of [`crate::kernel`], shared with every
+//! other chain. This driver owns the rest: the chain's initialisation, its
+//! one RNG stream, the sweep order, and the exclude-current bookkeeping —
+//! it decrements the live [`SamplerState`] before each step and adds the
+//! new draw back after.
 
 use crate::candidacy::Candidacy;
 use crate::config::MlpConfig;
@@ -16,7 +17,7 @@ use crate::random_models::RandomModels;
 use crate::state::SamplerState;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_geo::PowerLaw;
-use mlp_sampling::{sample_categorical, Pcg64, SplitMix64};
+use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::{Dataset, UserId};
 
 /// The sampler: owns the mutable state and RNG, borrows everything static.
@@ -82,10 +83,7 @@ impl<'a> GibbsSampler<'a> {
         let modes = self.compute_init_modes();
         let pos = |sampler: &mut Self, user: UserId| -> usize {
             let len = sampler.candidacy.candidates(user).len();
-            match modes[user.index()] {
-                Some(mode) if sampler.rng.bernoulli(0.9) => mode,
-                _ => sampler.rng.next_bounded(len),
-            }
+            kernel::init_position(&mut sampler.rng, modes[user.index()], len)
         };
         // Loops are gated by variant (not just skipped in the sweep) so the
         // RNG stream for one observation type is independent of the other's
@@ -152,15 +150,9 @@ impl<'a> GibbsSampler<'a> {
         (0..n)
             .map(|u| {
                 let user = UserId(u as u32);
-                if let Some(reg) = self.dataset.registered[u] {
-                    if let Some(pos) = self.candidacy.position(user, reg) {
-                        return Some(pos);
-                    }
-                }
-                if !has_signal[u] {
-                    return None;
-                }
-                scores[u].iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(c, _)| c)
+                let registered =
+                    self.dataset.registered[u].and_then(|reg| self.candidacy.position(user, reg));
+                kernel::init_mode(registered, has_signal[u], &scores[u])
             })
             .collect()
     }
@@ -176,12 +168,6 @@ impl<'a> GibbsSampler<'a> {
             config: self.config,
             power_law: self.power_law,
         }
-    }
-
-    /// Venue term `(φ_{l,v} + δ) / (Σφ_l + δ|V|)` against live counts.
-    #[inline]
-    fn venue_term(&self, l: CityId, v: VenueId) -> f64 {
-        kernel::venue_term(&self.view(), &self.state, l, v)
     }
 
     /// One full Gibbs sweep over all relationships.
@@ -208,61 +194,32 @@ impl<'a> GibbsSampler<'a> {
     fn resample_edge(&mut self, s: usize) -> bool {
         let e = self.dataset.edges[s];
         let (i, j) = (e.follower, e.friend);
-        let ci = self.candidacy.candidates(i);
-        let cj = self.candidacy.candidates(j);
-        let (old_mu, old_x, old_y) = (self.state.mu[s], self.state.x[s], self.state.y[s]);
+        let (old_mu, old_x, old_y) =
+            (self.state.mu[s], self.state.x[s] as usize, self.state.y[s] as usize);
+        let count_noisy = self.config.count_noisy_assignments;
 
-        // Remove the current contribution (exclude-current counts).
-        if !old_mu || self.config.count_noisy_assignments {
-            self.state.remove_user(i, old_x as usize);
-            self.state.remove_user(j, old_y as usize);
+        // Exclude the current contribution by live decrement.
+        if !old_mu || count_noisy {
+            self.state.remove_user(i, old_x);
+            self.state.remove_user(j, old_y);
         }
-
-        let x_city = ci[old_x as usize];
-        let y_city = cj[old_y as usize];
         let view = self.view();
-
-        // --- μ_s | rest (Eq. 5) ---
-        let (w_based, w_noisy) = kernel::edge_selector_weights(
+        let (mu, x, y) = kernel::edge_step(
             &view,
             &self.state,
-            kernel::Endpoint { user: i, pos: old_x as usize, city: x_city },
-            kernel::Endpoint { user: j, pos: old_y as usize, city: y_city },
-        );
-        let new_mu = self.rng.next_f64() * (w_based + w_noisy) < w_noisy;
-
-        // --- x_s | rest (Eq. 7) ---
-        kernel::edge_position_weights(
-            &view,
-            &self.state,
-            i,
-            (!new_mu).then_some(y_city),
+            (i, old_x),
+            (j, old_y),
+            &mut self.rng,
             &mut self.weight_buf,
         );
-        let new_x = sample_categorical(&mut self.rng, &self.weight_buf)
-            .expect("x weights are positive (γ > 0)") as u16;
-        let x_city = ci[new_x as usize];
-
-        // --- y_s | rest (Eq. 8) ---
-        kernel::edge_position_weights(
-            &view,
-            &self.state,
-            j,
-            (!new_mu).then_some(x_city),
-            &mut self.weight_buf,
-        );
-        let new_y = sample_categorical(&mut self.rng, &self.weight_buf)
-            .expect("y weights are positive (γ > 0)") as u16;
-
-        // Commit.
-        if !new_mu || self.config.count_noisy_assignments {
-            self.state.add_user(i, new_x as usize);
-            self.state.add_user(j, new_y as usize);
+        if !mu || count_noisy {
+            self.state.add_user(i, x);
+            self.state.add_user(j, y);
         }
-        self.state.mu[s] = new_mu;
-        self.state.x[s] = new_x;
-        self.state.y[s] = new_y;
-        new_mu != old_mu || new_x != old_x || new_y != old_y
+        self.state.mu[s] = mu;
+        self.state.x[s] = x as u16;
+        self.state.y[s] = y as u16;
+        (mu, x, y) != (old_mu, old_x, old_y)
     }
 
     /// Resamples `(ν_k, z_k)`; returns whether anything changed.
@@ -270,43 +227,33 @@ impl<'a> GibbsSampler<'a> {
         let m = self.dataset.mentions[k];
         let (i, v) = (m.user, m.venue);
         let ci = self.candidacy.candidates(i);
-        let (old_nu, old_z) = (self.state.nu[k], self.state.z[k]);
-        let old_city = ci[old_z as usize];
+        let (old_nu, old_z) = (self.state.nu[k], self.state.z[k] as usize);
+        let count_noisy = self.config.count_noisy_assignments;
 
-        if !old_nu || self.config.count_noisy_assignments {
-            self.state.remove_user(i, old_z as usize);
+        if !old_nu || count_noisy {
+            self.state.remove_user(i, old_z);
         }
         if !old_nu {
-            self.state.remove_venue(old_city, v);
+            self.state.remove_venue(ci[old_z], v);
         }
-
-        // --- ν_k | rest (Eq. 6) ---
         let view = self.view();
-        let (w_based, w_noisy) =
-            kernel::mention_selector_weights(&view, &self.state, i, old_z as usize, old_city, v);
-        let new_nu = self.rng.next_f64() * (w_based + w_noisy) < w_noisy;
-
-        // --- z_k | rest (Eq. 9) ---
-        kernel::mention_position_weights(
+        let (nu, z) = kernel::mention_step(
             &view,
             &self.state,
-            i,
-            (!new_nu).then_some(v),
+            (i, old_z),
+            v,
+            &mut self.rng,
             &mut self.weight_buf,
         );
-        let new_z = sample_categorical(&mut self.rng, &self.weight_buf)
-            .expect("z weights are positive (γ > 0)") as u16;
-        let new_city = ci[new_z as usize];
-
-        if !new_nu || self.config.count_noisy_assignments {
-            self.state.add_user(i, new_z as usize);
+        if !nu || count_noisy {
+            self.state.add_user(i, z);
         }
-        if !new_nu {
-            self.state.add_venue(new_city, v);
+        if !nu {
+            self.state.add_venue(ci[z], v);
         }
-        self.state.nu[k] = new_nu;
-        self.state.z[k] = new_z;
-        new_nu != old_nu || new_z != old_z
+        self.state.nu[k] = nu;
+        self.state.z[k] = z as u16;
+        (nu, z) != (old_nu, old_z)
     }
 
     /// θ̂_i per Eq. 10, over user `u`'s candidates, using post-burn-in mean
@@ -351,7 +298,7 @@ impl<'a> GibbsSampler<'a> {
                     ll += (self.config.rho_t * self.random.venue_prob(m.venue)).ln();
                 } else {
                     let z = self.candidacy.candidates(m.user)[self.state.z[k] as usize];
-                    ll += ((1.0 - self.config.rho_t) * self.venue_term(z, m.venue)).ln();
+                    ll += ((1.0 - self.config.rho_t) * self.venue_term_public(z, m.venue)).ln();
                 }
             }
         }
@@ -393,53 +340,60 @@ impl<'a> GibbsSampler<'a> {
         self.random
     }
 
-    /// Venue term exposed for MAP extraction in [`crate::model`].
+    /// Venue term `(φ_{l,v} + δ) / (Σφ_l + δ|V|)` against live counts, for
+    /// the likelihood proxy and MAP extraction in [`crate::model`].
     pub fn venue_term_public(&self, l: CityId, v: VenueId) -> f64 {
-        self.venue_term(l, v)
+        kernel::venue_term(&self.view(), &self.state, l, v)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mlp_social::{Adjacency, Generator, GeneratorConfig};
 
-    fn setup(
-        num_users: usize,
-        seed: u64,
-        config: MlpConfig,
-    ) -> (Gazetteer, Dataset, MlpConfig, mlp_social::GroundTruth) {
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(&gaz, GeneratorConfig { num_users, seed, ..Default::default() })
-            .generate();
-        (gaz, data.dataset, config, data.truth)
+    /// A generated dataset plus everything a sampler borrows; shared by the
+    /// chain drivers' unit tests.
+    pub(crate) struct Fixture {
+        pub(crate) gaz: Gazetteer,
+        pub(crate) dataset: Dataset,
+        pub(crate) cand: Candidacy,
+        pub(crate) random: RandomModels,
+        pub(crate) config: MlpConfig,
     }
 
-    fn run_sweeps(
-        gaz: &Gazetteer,
-        dataset: &Dataset,
-        config: &MlpConfig,
-        sweeps: usize,
-    ) -> Vec<SweepChanges> {
-        let adj = Adjacency::build(dataset);
-        let cand = Candidacy::build(gaz, dataset, &adj, config);
-        let random = RandomModels::learn(dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(gaz, dataset, &cand, &random, config);
-        (0..sweeps).map(|_| sampler.sweep()).collect()
+    impl Fixture {
+        pub(crate) fn new(num_users: usize, seed: u64, config: MlpConfig) -> Self {
+            let gaz = Gazetteer::us_cities();
+            let generator = GeneratorConfig { num_users, seed, ..Default::default() };
+            let dataset = Generator::new(&gaz, generator).generate().dataset;
+            let adj = Adjacency::build(&dataset);
+            let cand = Candidacy::build(&gaz, &dataset, &adj, &config);
+            let random = RandomModels::learn(&dataset, gaz.num_venues());
+            Self { gaz, dataset, cand, random, config }
+        }
+
+        /// A freshly initialised sampler over the fixture.
+        pub(crate) fn sampler(&self) -> GibbsSampler<'_> {
+            GibbsSampler::new(&self.gaz, &self.dataset, &self.cand, &self.random, &self.config)
+        }
+    }
+
+    fn run_sweeps(num_users: usize, seed: u64, config: MlpConfig, n: usize) -> Vec<SweepChanges> {
+        let f = Fixture::new(num_users, seed, config);
+        let mut sampler = f.sampler();
+        (0..n).map(|_| sampler.sweep()).collect()
     }
 
     #[test]
     fn counts_stay_consistent_across_sweeps() {
-        let (gaz, dataset, config, _) = setup(150, 3, MlpConfig::default());
-        let adj = Adjacency::build(&dataset);
-        let cand = Candidacy::build(&gaz, &dataset, &adj, &config);
-        let random = RandomModels::learn(&dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &dataset, &cand, &random, &config);
+        let f = Fixture::new(150, 3, MlpConfig::default());
+        let mut sampler = f.sampler();
         for _ in 0..3 {
             sampler.sweep();
             sampler
                 .state
-                .check_consistency(&dataset, &cand, false, true, true)
+                .check_consistency(&f.dataset, &f.cand, false, true, true)
                 .expect("incremental counts must equal a rebuild");
         }
     }
@@ -447,24 +401,20 @@ mod tests {
     #[test]
     fn counts_stay_consistent_with_count_noisy() {
         let config = MlpConfig { count_noisy_assignments: true, ..Default::default() };
-        let (gaz, dataset, config, _) = setup(120, 5, config);
-        let adj = Adjacency::build(&dataset);
-        let cand = Candidacy::build(&gaz, &dataset, &adj, &config);
-        let random = RandomModels::learn(&dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &dataset, &cand, &random, &config);
+        let f = Fixture::new(120, 5, config);
+        let mut sampler = f.sampler();
         for _ in 0..3 {
             sampler.sweep();
             sampler
                 .state
-                .check_consistency(&dataset, &cand, true, true, true)
+                .check_consistency(&f.dataset, &f.cand, true, true, true)
                 .expect("count-noisy bookkeeping must also be exact");
         }
     }
 
     #[test]
     fn sweeps_settle_down() {
-        let (gaz, dataset, config, _) = setup(300, 7, MlpConfig::default());
-        let changes = run_sweeps(&gaz, &dataset, &config, 12);
+        let changes = run_sweeps(300, 7, MlpConfig::default(), 12);
         let early = changes[0].edges + changes[0].mentions;
         let late = changes[11].edges + changes[11].mentions;
         assert!((late as f64) < 0.8 * early as f64, "no settling: first {early}, last {late}");
@@ -472,16 +422,13 @@ mod tests {
 
     #[test]
     fn theta_is_a_distribution_sorted_desc() {
-        let (gaz, dataset, config, _) = setup(100, 11, MlpConfig::default());
-        let adj = Adjacency::build(&dataset);
-        let cand = Candidacy::build(&gaz, &dataset, &adj, &config);
-        let random = RandomModels::learn(&dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &dataset, &cand, &random, &config);
+        let f = Fixture::new(100, 11, MlpConfig::default());
+        let mut sampler = f.sampler();
         for _ in 0..5 {
             sampler.sweep();
             sampler.state.accumulate();
         }
-        for u in 0..dataset.num_users() {
+        for u in 0..f.dataset.num_users() {
             let theta = sampler.estimate_theta(UserId(u as u32));
             let sum: f64 = theta.iter().map(|&(_, p)| p).sum();
             assert!((sum - 1.0).abs() < 1e-9, "user {u} theta sums to {sum}");
@@ -493,11 +440,8 @@ mod tests {
 
     #[test]
     fn labeled_user_theta_concentrates_on_registered_city() {
-        let (gaz, dataset, config, _) = setup(200, 13, MlpConfig::default());
-        let adj = Adjacency::build(&dataset);
-        let cand = Candidacy::build(&gaz, &dataset, &adj, &config);
-        let random = RandomModels::learn(&dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &dataset, &cand, &random, &config);
+        let f = Fixture::new(200, 13, MlpConfig::default());
+        let mut sampler = f.sampler();
         for _ in 0..8 {
             sampler.sweep();
         }
@@ -505,8 +449,8 @@ mod tests {
         // (supervision boost + their own location-based relationships).
         let mut hits = 0;
         let mut total = 0;
-        for u in 0..dataset.num_users() {
-            if let Some(home) = dataset.registered[u] {
+        for u in 0..f.dataset.num_users() {
+            if let Some(home) = f.dataset.registered[u] {
                 total += 1;
                 let theta = sampler.estimate_theta(UserId(u as u32));
                 if theta[0].0 == home {
@@ -522,47 +466,36 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (gaz, dataset, config, _) = setup(100, 17, MlpConfig::default());
-        let run = |cfg: &MlpConfig| {
-            let adj = Adjacency::build(&dataset);
-            let cand = Candidacy::build(&gaz, &dataset, &adj, cfg);
-            let random = RandomModels::learn(&dataset, gaz.num_venues());
-            let mut s = GibbsSampler::new(&gaz, &dataset, &cand, &random, cfg);
+        let run = |cfg: MlpConfig| {
+            let f = Fixture::new(100, 17, cfg);
+            let mut s = f.sampler();
             for _ in 0..4 {
                 s.sweep();
             }
             (s.state.mu.clone(), s.state.x.clone(), s.state.z.clone())
         };
-        assert_eq!(run(&config), run(&config));
-        let other = MlpConfig { seed: 99, ..config.clone() };
-        assert_ne!(run(&config), run(&other));
+        assert_eq!(run(MlpConfig::default()), run(MlpConfig::default()));
+        assert_ne!(run(MlpConfig::default()), run(MlpConfig { seed: 99, ..Default::default() }));
     }
 
     #[test]
     fn following_only_never_touches_mentions() {
-        let (gaz, dataset, config, _) = setup(100, 19, MlpConfig::following_only());
-        let changes = run_sweeps(&gaz, &dataset, &config, 3);
-        for c in changes {
+        for c in run_sweeps(100, 19, MlpConfig::following_only(), 3) {
             assert_eq!(c.mentions, 0);
         }
     }
 
     #[test]
     fn tweeting_only_never_touches_edges() {
-        let (gaz, dataset, config, _) = setup(100, 23, MlpConfig::tweeting_only());
-        let changes = run_sweeps(&gaz, &dataset, &config, 3);
-        for c in changes {
+        for c in run_sweeps(100, 23, MlpConfig::tweeting_only(), 3) {
             assert_eq!(c.edges, 0);
         }
     }
 
     #[test]
     fn log_likelihood_proxy_improves() {
-        let (gaz, dataset, config, _) = setup(200, 29, MlpConfig::default());
-        let adj = Adjacency::build(&dataset);
-        let cand = Candidacy::build(&gaz, &dataset, &adj, &config);
-        let random = RandomModels::learn(&dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &dataset, &cand, &random, &config);
+        let f = Fixture::new(200, 29, MlpConfig::default());
+        let mut sampler = f.sampler();
         let before = sampler.log_likelihood_proxy();
         for _ in 0..8 {
             sampler.sweep();

@@ -22,14 +22,17 @@
 //!
 //! Training proceeds in *super-sweeps* of `reconcile_every` local sweeps.
 //! At the start of a super-sweep the global `ϕ`/`φ` counts are frozen.
-//! Each shard then runs its local sweeps against `frozen + its own delta
-//! slab` — its own updates are visible immediately (the exclude-current
-//! arithmetic of [`EdgeExcluded`]/[`MentionExcluded`] stays exact), while
-//! other shards' same-super-sweep updates are stale until the **count
-//! reconciliation**: the flat index-wise delta merge that
-//! [`crate::parallel`] performs per sweep, here performed per super-sweep.
-//! With one shard the schedule degenerates to the exact sequential chain;
-//! `reconcile_every` trades staleness against merge/freeze traffic.
+//! Each shard then runs its local sweeps — the edge and mention steps of
+//! [`crate::kernel`], shared with every other chain — against `frozen +
+//! its own delta slab` and its working copy of `φ`. Its own updates are
+//! visible immediately (the exclude-current arithmetic of
+//! [`EdgeExcluded`]/[`MentionExcluded`] stays exact), while other shards'
+//! same-super-sweep updates are stale until the **count reconciliation**:
+//! the flat index-wise delta merge that [`crate::parallel`] performs per
+//! sweep, here performed per super-sweep. `reconcile_every` trades
+//! staleness against merge/freeze traffic. This driver owns the shard
+//! schedule, the RNG streams, the delta slab and working `φ`, the
+//! reconciliation, and the assignment spills.
 //!
 //! Post-burn-in, the posterior is accumulated at reconciliation points
 //! (every super-sweep contributes one sample of the fully-merged counts),
@@ -42,9 +45,7 @@
 
 use crate::config::MlpConfig;
 use crate::count_store::VenueCountStore;
-use crate::kernel::{
-    self, CountView, EdgeExcluded, Endpoint, MentionExcluded, ProfileView, SamplerView,
-};
+use crate::kernel::{self, CountView, EdgeExcluded, MentionExcluded, ProfileView, SamplerView};
 use crate::model::Mlp;
 use crate::parallel::chunk_ranges;
 use crate::random_models::RandomModels;
@@ -52,7 +53,7 @@ use crate::snapshot::{
     gazetteer_fingerprint, PosteriorSnapshot, UserArena, UserPosterior, VenueArena,
 };
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
-use mlp_sampling::{sample_categorical, Pcg64, SplitMix64};
+use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::stream::{CorpusChunk, CorpusError, CorpusReader};
 use mlp_social::{Csr, UserId};
 use std::collections::BTreeMap;
@@ -239,9 +240,18 @@ struct ShardCounts<'a> {
     profiles: &'a CandidateProfiles,
     frozen: &'a [u32],
     frozen_totals: &'a [u32],
-    delta: &'a [i32],
-    delta_totals: &'a [i32],
-    venues: &'a VenueCountStore,
+    delta: Vec<i32>,
+    delta_totals: Vec<i32>,
+    venues: VenueCountStore,
+}
+
+impl ShardCounts<'_> {
+    /// Adds `by` to user `u`'s count at candidate index `c` in the delta.
+    #[inline]
+    fn add_user(&mut self, u: UserId, c: usize, by: i32) {
+        self.delta[self.profiles.slot(u, c)] += by;
+        self.delta_totals[u.index()] += by;
+    }
 }
 
 impl CountView for ShardCounts<'_> {
@@ -526,25 +536,14 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             }),
         );
 
-        // Init modes, exactly as `compute_init_modes` resolves them.
+        // Init modes, resolved exactly as the in-memory sampler's are.
         let modes: Vec<Option<u32>> = (0..n)
             .map(|u| {
                 let user = UserId(u as u32);
-                if let Some(reg) = registered[u] {
-                    if let Some(pos) = profiles.position(user, reg) {
-                        return Some(pos as u32);
-                    }
-                }
-                if !has_signal[u] {
-                    return None;
-                }
+                let registered = registered[u].and_then(|reg| profiles.position(user, reg));
                 let base = profiles.slot(user, 0);
-                let len = profiles.candidates(user).len();
-                scores[base..base + len]
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(c, _)| c as u32)
+                let scores = &scores[base..base + profiles.candidates(user).len()];
+                kernel::init_mode(registered, has_signal[u], scores).map(|c| c as u32)
             })
             .collect();
 
@@ -584,10 +583,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             let chunk = self.reader.read_chunk(ci)?;
             let pos = |rng: &mut Pcg64, user: UserId, modes: &[Option<u32>]| -> usize {
                 let len = self.profiles.candidates(user).len();
-                match modes[user.index()] {
-                    Some(mode) if rng.bernoulli(0.9) => mode as usize,
-                    _ => rng.next_bounded(len),
-                }
+                kernel::init_position(rng, modes[user.index()].map(|m| m as usize), len)
             };
             if self.config.variant.uses_following() {
                 for e in &chunk.edges {
@@ -651,9 +647,14 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             .collect::<Result<_, _>>()?;
         let mut asg = ShardAssignments::decode(&std::fs::read(self.spill_path(shard))?)?;
 
-        let mut delta = vec![0i32; self.profiles.num_slots()];
-        let mut delta_totals = vec![0i32; self.profiles.num_users()];
-        let mut working_venues = frozen_venues.clone();
+        let mut counts = ShardCounts {
+            profiles: &self.profiles,
+            frozen,
+            frozen_totals,
+            delta: vec![0; self.profiles.num_slots()],
+            delta_totals: vec![0; self.profiles.num_users()],
+            venues: frozen_venues.clone(),
+        };
         let view = SamplerView::<CandidateProfiles> {
             gaz: self.gaz,
             candidacy: &self.profiles,
@@ -662,6 +663,8 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             power_law: self.power_law,
         };
         let count_noisy = self.config.count_noisy_assignments;
+        let uses_following = self.config.variant.uses_following();
+        let uses_tweeting = self.config.variant.uses_tweeting();
         let mut buf = Vec::new();
 
         for local in 0..local_sweeps {
@@ -669,149 +672,77 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                 self.config.seed,
                 PHASE_SHARD_SWEEP ^ (super_sweep << 28) ^ ((shard as u64) << 14) ^ local as u64,
             ));
+            // Chunk by chunk, edges then mentions; `es`/`ks` index the
+            // shard's flat assignment vectors.
             let (mut es, mut ks) = (0usize, 0usize);
             for chunk in &chunks {
-                if self.config.variant.uses_following() {
-                    for e in &chunk.edges {
-                        let s = es;
-                        es += 1;
-                        let (i, j) = (e.follower, e.friend);
-                        let ci = self.profiles.candidates(i);
-                        let cj = self.profiles.candidates(j);
-                        let (old_mu, old_x, old_y) =
-                            (asg.mu[s], asg.x[s] as usize, asg.y[s] as usize);
-                        let counted = !old_mu || count_noisy;
-                        let shard_counts = ShardCounts {
-                            profiles: &self.profiles,
-                            frozen,
-                            frozen_totals,
-                            delta: &delta,
-                            delta_totals: &delta_totals,
-                            venues: &working_venues,
-                        };
-                        let counts = EdgeExcluded::new(&shard_counts, counted, i, old_x, j, old_y);
-                        let x_city = ci[old_x];
-                        let y_city = cj[old_y];
-
-                        let (w_based, w_noisy) = kernel::edge_selector_weights(
-                            &view,
-                            &counts,
-                            Endpoint { user: i, pos: old_x, city: x_city },
-                            Endpoint { user: j, pos: old_y, city: y_city },
-                        );
-                        let new_mu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
-
-                        kernel::edge_position_weights(
-                            &view,
-                            &counts,
-                            i,
-                            (!new_mu).then_some(y_city),
-                            &mut buf,
-                        );
-                        let new_x = sample_categorical(&mut rng, &buf).expect("x weights positive");
-                        let x_city = ci[new_x];
-
-                        kernel::edge_position_weights(
-                            &view,
-                            &counts,
-                            j,
-                            (!new_mu).then_some(x_city),
-                            &mut buf,
-                        );
-                        let new_y = sample_categorical(&mut rng, &buf).expect("y weights positive");
-
-                        if counted {
-                            delta[self.profiles.slot(i, old_x)] -= 1;
-                            delta[self.profiles.slot(j, old_y)] -= 1;
-                            delta_totals[i.index()] -= 1;
-                            delta_totals[j.index()] -= 1;
-                        }
-                        if !new_mu || count_noisy {
-                            delta[self.profiles.slot(i, new_x)] += 1;
-                            delta[self.profiles.slot(j, new_y)] += 1;
-                            delta_totals[i.index()] += 1;
-                            delta_totals[j.index()] += 1;
-                        }
-                        asg.mu[s] = new_mu;
-                        asg.x[s] = new_x as u16;
-                        asg.y[s] = new_y as u16;
+                let edges = if uses_following { chunk.edges.as_slice() } else { &[] };
+                for (s, e) in (es..).zip(edges) {
+                    let (i, j) = (e.follower, e.friend);
+                    let (old_mu, old_x, old_y) = (asg.mu[s], asg.x[s] as usize, asg.y[s] as usize);
+                    let counted = !old_mu || count_noisy;
+                    let excluded = EdgeExcluded::new(&counts, counted, i, old_x, j, old_y);
+                    let (mu, x, y) = kernel::edge_step(
+                        &view,
+                        &excluded,
+                        (i, old_x),
+                        (j, old_y),
+                        &mut rng,
+                        &mut buf,
+                    );
+                    if counted {
+                        counts.add_user(i, old_x, -1);
+                        counts.add_user(j, old_y, -1);
                     }
-                } else {
-                    es += chunk.edges.len();
-                }
-
-                if self.config.variant.uses_tweeting() {
-                    for m in &chunk.mentions {
-                        let k = ks;
-                        ks += 1;
-                        let (i, v) = (m.user, m.venue);
-                        let ci = self.profiles.candidates(i);
-                        let (old_nu, old_z) = (asg.nu[k], asg.z[k] as usize);
-                        let counted = !old_nu || count_noisy;
-                        let old_city = ci[old_z];
-                        let shard_counts = ShardCounts {
-                            profiles: &self.profiles,
-                            frozen,
-                            frozen_totals,
-                            delta: &delta,
-                            delta_totals: &delta_totals,
-                            venues: &working_venues,
-                        };
-                        let counts = MentionExcluded::new(
-                            &shard_counts,
-                            counted,
-                            !old_nu,
-                            i,
-                            old_z,
-                            old_city,
-                            v,
-                        );
-
-                        let (w_based, w_noisy) =
-                            kernel::mention_selector_weights(&view, &counts, i, old_z, old_city, v);
-                        let new_nu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
-
-                        kernel::mention_position_weights(
-                            &view,
-                            &counts,
-                            i,
-                            (!new_nu).then_some(v),
-                            &mut buf,
-                        );
-                        let new_z = sample_categorical(&mut rng, &buf).expect("z weights positive");
-
-                        if counted {
-                            delta[self.profiles.slot(i, old_z)] -= 1;
-                            delta_totals[i.index()] -= 1;
-                        }
-                        if !new_nu || count_noisy {
-                            delta[self.profiles.slot(i, new_z)] += 1;
-                            delta_totals[i.index()] += 1;
-                        }
-                        if !old_nu {
-                            working_venues.remove(old_city, v);
-                        }
-                        if !new_nu {
-                            working_venues.add(ci[new_z], v);
-                        }
-                        asg.nu[k] = new_nu;
-                        asg.z[k] = new_z as u16;
+                    if !mu || count_noisy {
+                        counts.add_user(i, x, 1);
+                        counts.add_user(j, y, 1);
                     }
-                } else {
-                    ks += chunk.mentions.len();
+                    asg.mu[s] = mu;
+                    asg.x[s] = x as u16;
+                    asg.y[s] = y as u16;
                 }
+                es += chunk.edges.len();
+
+                let mentions = if uses_tweeting { chunk.mentions.as_slice() } else { &[] };
+                for (k, m) in (ks..).zip(mentions) {
+                    let (i, v) = (m.user, m.venue);
+                    let ci = self.profiles.candidates(i);
+                    let (old_nu, old_z) = (asg.nu[k], asg.z[k] as usize);
+                    let counted = !old_nu || count_noisy;
+                    let old_city = ci[old_z];
+                    let excluded =
+                        MentionExcluded::new(&counts, counted, !old_nu, i, old_z, old_city, v);
+                    let (nu, z) =
+                        kernel::mention_step(&view, &excluded, (i, old_z), v, &mut rng, &mut buf);
+                    if counted {
+                        counts.add_user(i, old_z, -1);
+                    }
+                    if !nu || count_noisy {
+                        counts.add_user(i, z, 1);
+                    }
+                    if !old_nu {
+                        counts.venues.remove(old_city, v);
+                    }
+                    if !nu {
+                        counts.venues.add(ci[z], v);
+                    }
+                    asg.nu[k] = nu;
+                    asg.z[k] = z as u16;
+                }
+                ks += chunk.mentions.len();
             }
         }
 
         // Reconciliation: flat index-wise merge of this shard's deltas
         // into the global arenas.
-        for (c, &d) in self.counts.iter_mut().zip(&delta) {
+        for (c, &d) in self.counts.iter_mut().zip(&counts.delta) {
             *c = c.wrapping_add_signed(d);
         }
-        for (t, &d) in self.totals.iter_mut().zip(&delta_totals) {
+        for (t, &d) in self.totals.iter_mut().zip(&counts.delta_totals) {
             *t = t.wrapping_add_signed(d);
         }
-        self.venues.apply_diff(&working_venues, frozen_venues);
+        self.venues.apply_diff(&counts.venues, frozen_venues);
 
         std::fs::write(self.spill_path(shard), asg.encode())?;
         Ok(())
