@@ -17,6 +17,8 @@
 //!   curve behind Fig. 3(a).
 //! * [`DistanceMatrix`] — a dense symmetric city-pair distance cache so the
 //!   Gibbs sampler never recomputes a haversine in its inner loop.
+//! * [`KernelMatrix`] — the same city pairs' power-law kernel `d^α` for one
+//!   [`PowerLaw`], so the sampler never calls `powf` in its inner loop.
 
 pub mod bbox;
 pub mod distance;
@@ -30,6 +32,6 @@ pub use bbox::BoundingBox;
 pub use distance::{equirectangular_miles, haversine_miles, EARTH_RADIUS_MILES};
 pub use grid::GridIndex;
 pub use histogram::{DistanceHistogram, LatencyHistogram};
-pub use matrix::DistanceMatrix;
+pub use matrix::{DistanceMatrix, KernelMatrix};
 pub use point::GeoPoint;
 pub use powerlaw::{fit_log_log, fit_log_log_weighted, PowerLaw};

@@ -1,13 +1,17 @@
-//! Dense symmetric distance matrix over a fixed city set.
+//! Dense symmetric per-city-pair tables over a fixed city set.
 //!
 //! The Gibbs sampler evaluates `d(x, y)^α` for every candidate location of
 //! every relationship endpoint on every sweep. With |L| cities there are only
-//! |L|² distinct distances, so we precompute them once (f32 is plenty: the
-//! model never needs sub-0.1-mile resolution at city scale) and the sampler's
-//! inner loop becomes a table lookup.
+//! |L|² distinct pairs, so both factors are precomputed once:
+//!
+//! * [`DistanceMatrix`] holds the haversine distances (f32 is plenty: the
+//!   model never needs sub-0.1-mile resolution at city scale);
+//! * [`KernelMatrix`] holds `d^α` for one [`PowerLaw`], so the sampler's
+//!   inner loop is a table lookup instead of a `powf`.
 
 use crate::distance::haversine_miles;
 use crate::point::GeoPoint;
+use crate::powerlaw::PowerLaw;
 
 /// Symmetric `n × n` matrix of pairwise distances in miles.
 ///
@@ -83,6 +87,68 @@ impl DistanceMatrix {
     }
 }
 
+/// Symmetric `n × n` table of the power-law kernel `d(i, j)^α`
+/// ([`PowerLaw::kernel`]) over a [`DistanceMatrix`], for one law.
+///
+/// Every entry is bit-identical to evaluating the law on the stored
+/// distance, so swapping a `powf` for a lookup changes no draw. Stored as
+/// the full square of `f64` (8·|L|² bytes: 0.85 MB at 325 cities); a new
+/// law needs a new table.
+#[derive(Debug)]
+pub struct KernelMatrix {
+    n: usize,
+    law: PowerLaw,
+    data: Vec<f64>,
+}
+
+impl KernelMatrix {
+    /// Evaluates `law.kernel` once per city pair of `distances`.
+    pub fn build(distances: &DistanceMatrix, law: PowerLaw) -> Self {
+        let n = distances.len();
+        let mut data = vec![0.0f64; n * n];
+        // The distance matrix is symmetric bit for bit, so the upper
+        // triangle (diagonal included) determines the whole table.
+        for i in 0..n {
+            for j in i..n {
+                let k = law.kernel(distances.get(i, j));
+                data[i * n + j] = k;
+                data[j * n + i] = k;
+            }
+        }
+        Self { n, law, data }
+    }
+
+    /// The law the table was built for.
+    pub fn law(&self) -> PowerLaw {
+        self.law
+    }
+
+    /// `d(i, j)^α`, bit-identical to `law.kernel(distances.get(i, j))`.
+    ///
+    /// # Panics
+    /// Panics if either index is out of bounds.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        assert!(i < self.n && j < self.n, "index out of bounds");
+        self.data[i * self.n + j]
+    }
+
+    /// The row of kernel values from point `i` to every point; by symmetry
+    /// `row(i)[j] == get(j, i)`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        assert!(i < self.n, "index out of bounds");
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
+    /// The capped probability `min(β·d(i, j)^α, 1)`, bit-identical to
+    /// `law.eval(distances.get(i, j))`.
+    #[inline]
+    pub fn eval(&self, i: usize, j: usize) -> f64 {
+        (self.law.beta * self.get(i, j)).min(1.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,5 +216,49 @@ mod tests {
     fn out_of_bounds_panics() {
         let m = DistanceMatrix::build(&cities());
         m.get(0, 3);
+    }
+
+    /// Every table entry must equal the law evaluated on the stored
+    /// distance bit for bit, including coincident points (d = 0), sub-mile
+    /// pairs under the 1-mile floor, and a non-round exponent.
+    #[test]
+    fn kernel_table_identical_to_law() {
+        let mut pts = cities();
+        pts.extend([
+            p(40.7128, -74.0060), // NYC again: d = 0 off the diagonal
+            p(40.7150, -74.0060), // ~0.15 mi from NYC
+            p(40.7228, -74.0060), // ~0.7 mi
+            p(40.7300, -74.0100), // just over a mile
+            p(47.6062, -122.3321),
+        ]);
+        let m = DistanceMatrix::build(&pts);
+        assert_eq!(m.get(0, 3), 0.0);
+        assert!(m.get(0, 4) > 0.0 && m.get(0, 5) < 1.0);
+        for alpha in [-0.55, -1.0, 0.0, -0.4137] {
+            let law = PowerLaw { alpha, beta: 0.0045 };
+            let k = KernelMatrix::build(&m, law);
+            assert_eq!(k.law(), law);
+            for i in 0..pts.len() {
+                for j in 0..pts.len() {
+                    let d = m.get(i, j);
+                    assert_eq!(
+                        k.get(i, j).to_bits(),
+                        law.kernel(d).to_bits(),
+                        "α {alpha} ({i},{j})"
+                    );
+                    assert_eq!(k.row(j)[i].to_bits(), k.get(i, j).to_bits());
+                    let eval = (law.beta * k.get(i, j)).min(1.0);
+                    assert_eq!(eval.to_bits(), law.eval(d).to_bits(), "α {alpha} ({i},{j})");
+                    assert_eq!(k.eval(i, j).to_bits(), law.eval(d).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn kernel_out_of_bounds_panics() {
+        let k = KernelMatrix::build(&DistanceMatrix::build(&cities()), PowerLaw::PAPER_TWITTER);
+        k.get(3, 0);
     }
 }

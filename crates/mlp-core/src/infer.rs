@@ -35,8 +35,10 @@ use crate::parallel::chunk_ranges;
 use crate::random_models::RandomModels;
 use crate::snapshot::{PosteriorSnapshot, UserPosterior};
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
+use mlp_geo::KernelMatrix;
 use mlp_sampling::{sample_categorical, Pcg64, SplitMix64};
 use mlp_social::{Dataset, UserId};
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised by fold-in inference.
 ///
@@ -371,8 +373,9 @@ impl CountView for FoldInCounts<'_> {
 
 /// Everything [`FoldInEngine::new`] derives from a snapshot besides the
 /// frozen counts themselves: the thawed noise models, the reassembled
-/// hyper-parameters, and the popular-city fallback list. None of it
-/// changes when delta commits append users, so
+/// hyper-parameters, the popular-city fallback list, and the power law's
+/// per-city-pair kernel table. None of it changes when delta commits
+/// append users, so
 /// [`crate::engine::ServingEngine`] derives it once at build time and
 /// rebuilds per-epoch engines from clones through
 /// [`FoldInEngine::from_validated_parts`] — skipping the per-call
@@ -385,6 +388,10 @@ pub(crate) struct DerivedParts {
     pub(crate) mlp_config: MlpConfig,
     /// Fallback candidates for signal-free users: most populous cities.
     pub(crate) popular: Vec<CityId>,
+    /// `d^α` per city pair for the snapshot's power law. The first
+    /// fold-in builds it; every clone (each epoch, commit and checkpoint
+    /// rebase) shares it, so opening a model never pays for it.
+    kernel: Arc<OnceLock<KernelMatrix>>,
 }
 
 impl DerivedParts {
@@ -410,7 +417,13 @@ impl DerivedParts {
                 ..Default::default()
             },
             popular: by_pop,
+            kernel: Arc::default(),
         }
+    }
+
+    /// The kernel table, built on first use.
+    fn kernel(&self, gaz: &Gazetteer) -> &KernelMatrix {
+        self.kernel.get_or_init(|| KernelMatrix::build(gaz.distances(), self.mlp_config.power_law))
     }
 }
 
@@ -620,12 +633,14 @@ impl<'a> FoldInEngine<'a> {
             .collect::<Result<_, FoldInError>>()?;
 
         let profiles = FoldInProfiles { snap, new_user, candidates, gammas, gamma_total };
+        let kernel = self.parts.kernel(self.gaz);
+        debug_assert_eq!(kernel.law(), snap.power_law, "parts derived from another snapshot");
         let view: SamplerView<'_, FoldInProfiles<'_>> = SamplerView {
             gaz: self.gaz,
             candidacy: &profiles,
             random: &self.parts.random,
             config: &self.parts.mlp_config,
-            power_law: snap.power_law,
+            kernel,
         };
         let mut counts = FoldInCounts {
             snap,
@@ -646,15 +661,16 @@ impl<'a> FoldInEngine<'a> {
             let mut has_signal = false;
             for a in &anchors {
                 has_signal = true;
+                let row = kernel.row(a.city.index());
                 for (c, &city) in profiles.candidates.iter().enumerate() {
-                    scores[c] += snap.power_law.kernel(self.gaz.distance(city, a.city)).ln();
+                    scores[c] += row[city.index()].ln();
                 }
             }
             for &v in mentions {
                 for &city in self.gaz.resolve_venue(v) {
                     if let Ok(c) = profiles.candidates.binary_search(&city) {
                         has_signal = true;
-                        scores[c] -= snap.power_law.kernel(1.0).ln() - 0.5;
+                        scores[c] -= kernel.get(city.index(), city.index()).ln() - 0.5;
                     }
                 }
             }

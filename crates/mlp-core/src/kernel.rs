@@ -6,7 +6,8 @@
 //! assignment `z_k` — is computed here, **once**, as pure functions over:
 //!
 //! * a [`SamplerView`]: the read-only model inputs (gazetteer, candidacy,
-//!   random models, config, current power law), and
+//!   random models, config, and the current power law's per-city-pair
+//!   [`KernelMatrix`]), and
 //! * a [`CountView`]: the collapsed counts `ϕ`/`φ` *with the relationship
 //!   being resampled already excluded*.
 //!
@@ -42,7 +43,7 @@ use crate::config::MlpConfig;
 use crate::random_models::RandomModels;
 use crate::state::SamplerState;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
-use mlp_geo::PowerLaw;
+use mlp_geo::KernelMatrix;
 use mlp_sampling::{sample_categorical, Pcg64};
 use mlp_social::UserId;
 
@@ -79,7 +80,7 @@ impl ProfileView for Candidacy {
 }
 
 /// Read-only bundle of everything static a conditional needs. Cheap to
-/// construct (five pointer-sized copies); build one per resampling call.
+/// construct (five references); build one per resampling call.
 ///
 /// Generic over the candidacy source `P` so the same kernel serves both the
 /// training drivers (`P = Candidacy`, the default) and warm-start fold-in
@@ -93,8 +94,10 @@ pub struct SamplerView<'a, P: ?Sized = Candidacy> {
     pub random: &'a RandomModels,
     /// Hyper-parameters (`ρ_f`, `ρ_t`, `δ`, …).
     pub config: &'a MlpConfig,
-    /// Current power law `β·d^α` (mutated between sweeps by Gibbs-EM).
-    pub power_law: PowerLaw,
+    /// `d^α` per city pair for the current power law `β·d^α` (rebuilt
+    /// between sweeps when Gibbs-EM refits the law), which also carries
+    /// `β`. Every kernel evaluation in a loop reads it instead of `powf`.
+    pub kernel: &'a KernelMatrix,
 }
 
 // Manual impls: `#[derive]` would wrongly require `P: Clone`/`P: Copy`
@@ -326,11 +329,10 @@ pub fn edge_selector_weights<P: ProfileView + ?Sized>(
     follower: Endpoint,
     friend: Endpoint,
 ) -> (f64, f64) {
-    let d = view.gaz.distance(follower.city, friend.city);
     let w_based = (1.0 - view.config.rho_f)
         * profile_term(view, counts, follower.user, follower.pos)
         * profile_term(view, counts, friend.user, friend.pos)
-        * view.power_law.eval(d);
+        * view.kernel.eval(follower.city.index(), friend.city.index());
     let w_noisy = view.config.rho_f * view.random.follow_prob();
     (w_based, w_noisy)
 }
@@ -352,10 +354,10 @@ pub fn edge_position_weights<P: ProfileView + ?Sized>(
     buf.clear();
     match partner {
         Some(p) => {
+            // The table is symmetric: row `p` holds `d(city, p)^α`.
+            let kernel = view.kernel.row(p.index());
             for (c, &city) in cands.iter().enumerate() {
-                let w = (counts.user_count(u, c) + gammas[c])
-                    * view.power_law.kernel(view.gaz.distance(city, p));
-                buf.push(w);
+                buf.push((counts.user_count(u, c) + gammas[c]) * kernel[city.index()]);
             }
         }
         None => {
@@ -546,12 +548,11 @@ mod tests {
             let (data, cand) = (&f.dataset, &f.cand);
             let mut sampler = f.sampler();
             sampler.sweep();
-            let view = sampler.view();
+            let (view, state, _, _) = sampler.split();
 
             for s in 0..data.num_edges().min(200) {
                 let e = data.edges[s];
                 let (i, j) = (e.follower, e.friend);
-                let state = &mut sampler.state;
                 let (mu, xi, yj) = (state.mu[s], state.x[s] as usize, state.y[s] as usize);
                 let counted = !mu || count_noisy;
 
@@ -572,7 +573,6 @@ mod tests {
             for k in 0..data.num_mentions().min(200) {
                 let m = data.mentions[k];
                 let (i, v) = (m.user, m.venue);
-                let state = &mut sampler.state;
                 let (nu, zi) = (state.nu[k], state.z[k] as usize);
                 let counted = !nu || count_noisy;
                 let old_city = cand.candidates(i)[zi];

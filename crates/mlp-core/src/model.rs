@@ -161,7 +161,7 @@ impl<'a> Mlp<'a> {
                         sampler.estimate_theta(u)[0].0
                     })
                 {
-                    sampler.power_law = fit;
+                    sampler.set_power_law(fit);
                     diagnostics.power_law_trace.push((fit.alpha, fit.beta));
                 }
             }
@@ -169,8 +169,18 @@ impl<'a> Mlp<'a> {
 
         let profiles: Vec<Vec<(CityId, f64)>> =
             (0..n).map(|u| sampler.estimate_theta(UserId(u as u32))).collect();
-        let edge_assignments = self.extract_edge_assignments(&sampler, &candidacy, &profiles);
-        let mention_assignments = self.extract_mention_assignments(&sampler, &candidacy, &profiles);
+        let (edge_assignments, mention_assignments) = {
+            // θ̂ in the state's flat slot space, so user `u`'s row starts at
+            // `user_slot(u, 0)`; one allocation, freed before the freeze.
+            let mut theta = Vec::with_capacity(sampler.state.num_user_slots());
+            for u in 0..n {
+                theta.extend(sampler.theta_row(UserId(u as u32)));
+            }
+            (
+                self.extract_edge_assignments(&sampler, &candidacy, &theta),
+                self.extract_mention_assignments(&sampler, &candidacy, &theta),
+            )
+        };
 
         let snapshot = want_snapshot.then(|| PosteriorSnapshot::freeze(&sampler));
         (
@@ -188,38 +198,36 @@ impl<'a> Mlp<'a> {
 
     /// MAP refinement of per-edge assignments: conditional argmax of
     /// `θ̂ × kernel`, two alternating passes starting from the last sample.
+    /// `theta` holds every user's [`GibbsSampler::theta_row`] in the
+    /// state's slot space.
     fn extract_edge_assignments(
         &self,
         sampler: &GibbsSampler<'_>,
         candidacy: &Candidacy,
-        profiles: &[Vec<(CityId, f64)>],
+        theta: &[f64],
     ) -> Vec<EdgeAssignment> {
-        let theta = |u: UserId, city: CityId| -> f64 {
-            profiles[u.index()].iter().find(|&&(c, _)| c == city).map(|&(_, p)| p).unwrap_or(0.0)
-        };
+        let kernel = sampler.view().kernel;
+        let row = |u: UserId| (candidacy.candidates(u), &theta[sampler.state.user_slot(u, 0)..]);
         self.dataset
             .edges
             .iter()
             .enumerate()
             .map(|(s, e)| {
                 let (i, j) = (e.follower, e.friend);
-                let ci = candidacy.candidates(i);
-                let cj = candidacy.candidates(j);
+                let ((ci, ti), (cj, tj)) = (row(i), row(j));
                 let noisy = sampler.state.mu[s];
                 let mut x = ci[sampler.state.x[s] as usize];
                 let mut y = cj[sampler.state.y[s] as usize];
                 if noisy {
                     // Profile-only MAP for noisy edges.
-                    x = argmax_city(ci, |c| theta(i, c));
-                    y = argmax_city(cj, |c| theta(j, c));
+                    x = argmax_city(ci, |c, _| ti[c]);
+                    y = argmax_city(cj, |c, _| tj[c]);
                 } else {
                     for _ in 0..2 {
-                        x = argmax_city(ci, |c| {
-                            theta(i, c) * sampler.power_law.kernel(self.gaz.distance(c, y))
-                        });
-                        y = argmax_city(cj, |c| {
-                            theta(j, c) * sampler.power_law.kernel(self.gaz.distance(x, c))
-                        });
+                        let row = kernel.row(y.index());
+                        x = argmax_city(ci, |c, city| ti[c] * row[city.index()]);
+                        let row = kernel.row(x.index());
+                        y = argmax_city(cj, |c, city| tj[c] * row[city.index()]);
                     }
                 }
                 EdgeAssignment { noisy, x, y }
@@ -231,23 +239,20 @@ impl<'a> Mlp<'a> {
         &self,
         sampler: &GibbsSampler<'_>,
         candidacy: &Candidacy,
-        profiles: &[Vec<(CityId, f64)>],
+        theta: &[f64],
     ) -> Vec<MentionAssignment> {
-        let theta = |u: UserId, city: CityId| -> f64 {
-            profiles[u.index()].iter().find(|&&(c, _)| c == city).map(|&(_, p)| p).unwrap_or(0.0)
-        };
         self.dataset
             .mentions
             .iter()
             .enumerate()
             .map(|(k, m)| {
-                let i = m.user;
-                let ci = candidacy.candidates(i);
+                let ci = candidacy.candidates(m.user);
+                let ti = &theta[sampler.state.user_slot(m.user, 0)..];
                 let noisy = sampler.state.nu[k];
                 let z = if noisy {
-                    argmax_city(ci, |c| theta(i, c))
+                    argmax_city(ci, |c, _| ti[c])
                 } else {
-                    argmax_city(ci, |c| theta(i, c) * sampler.venue_term_public(c, m.venue))
+                    argmax_city(ci, |c, city| ti[c] * sampler.venue_term_public(city, m.venue))
                 };
                 MentionAssignment { noisy, z }
             })
@@ -263,13 +268,14 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-fn argmax_city(cands: &[CityId], score: impl Fn(CityId) -> f64) -> CityId {
+/// The first candidate with the highest `score(position, city)`.
+fn argmax_city(cands: &[CityId], score: impl Fn(usize, CityId) -> f64) -> CityId {
     let mut best = cands[0];
     let mut best_score = f64::NEG_INFINITY;
-    for &c in cands {
-        let s = score(c);
+    for (c, &city) in cands.iter().enumerate() {
+        let s = score(c, city);
         if s > best_score {
-            best = c;
+            best = city;
             best_score = s;
         }
     }
@@ -355,13 +361,31 @@ mod tests {
 
     #[test]
     fn edge_assignments_are_candidate_cities() {
-        let (result, data, _) = run(150, 73, quick_config());
-        // x must be a plausible city for the follower, y for the friend
-        // (both came from candidate lists, so just sanity-check a sample).
-        for (e, a) in data.dataset.edges.iter().zip(&result.edge_assignments).take(200) {
-            let _ = e;
-            assert!(a.x.index() < 300 + 3);
-            assert!(a.y.index() < 300 + 3);
+        let gaz = Gazetteer::us_cities();
+        let data = Generator::new(
+            &gaz,
+            GeneratorConfig { num_users: 150, seed: 73, ..Default::default() },
+        )
+        .generate();
+        let config = quick_config();
+        let mlp = Mlp::new(&gaz, &data.dataset, config.clone()).unwrap();
+        let result = mlp.run();
+        // `run` rebuilds candidacy from the same inputs, deterministically.
+        let adj = Adjacency::build(&data.dataset);
+        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &mlp.config);
+        let edges = &data.dataset.edges;
+        assert_eq!(result.edge_assignments.len(), edges.len());
+        for (s, (e, a)) in edges.iter().zip(&result.edge_assignments).enumerate() {
+            assert!(
+                cand.position(e.follower, a.x).is_some(),
+                "edge {s}: x not a follower candidate"
+            );
+            assert!(cand.position(e.friend, a.y).is_some(), "edge {s}: y not a friend candidate");
+        }
+        let mentions = &data.dataset.mentions;
+        assert_eq!(result.mention_assignments.len(), mentions.len());
+        for (k, (m, a)) in mentions.iter().zip(&result.mention_assignments).enumerate() {
+            assert!(cand.position(m.user, a.z).is_some(), "mention {k}: z not a user candidate");
         }
     }
 

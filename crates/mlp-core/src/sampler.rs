@@ -16,7 +16,7 @@ use crate::kernel::{self, SamplerView};
 use crate::random_models::RandomModels;
 use crate::state::SamplerState;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
-use mlp_geo::PowerLaw;
+use mlp_geo::{KernelMatrix, PowerLaw};
 use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::{Dataset, UserId};
 
@@ -27,8 +27,11 @@ pub struct GibbsSampler<'a> {
     candidacy: &'a Candidacy,
     random: &'a RandomModels,
     config: &'a MlpConfig,
-    /// Current power law; mutated by the Gibbs-EM outer loop.
+    /// Current power law. Read it freely; change it only through
+    /// [`Self::set_power_law`], which rebuilds the kernel table.
     pub power_law: PowerLaw,
+    /// `d^α` per city pair for `power_law`.
+    kernel: KernelMatrix,
     /// Assignment + count state.
     pub state: SamplerState,
     rng: Pcg64,
@@ -60,6 +63,7 @@ impl<'a> GibbsSampler<'a> {
             random,
             config,
             power_law: config.power_law,
+            kernel: KernelMatrix::build(gaz.distances(), config.power_law),
             state: SamplerState::new(dataset, candidacy, gaz.num_cities(), gaz.num_venues()),
             rng: Pcg64::new(SplitMix64::derive(config.seed, 0x9B5)),
             weight_buf: Vec::new(),
@@ -126,10 +130,10 @@ impl<'a> GibbsSampler<'a> {
                 for (user, other) in [(e.follower, e.friend), (e.friend, e.follower)] {
                     if let Some(anchor) = self.dataset.registered[other.index()] {
                         has_signal[user.index()] = true;
+                        let kernel = self.kernel.row(anchor.index());
                         let cands = self.candidacy.candidates(user);
                         for (c, &city) in cands.iter().enumerate() {
-                            scores[user.index()][c] +=
-                                self.power_law.kernel(self.gaz.distance(city, anchor)).ln();
+                            scores[user.index()][c] += kernel[city.index()].ln();
                         }
                     }
                 }
@@ -137,12 +141,14 @@ impl<'a> GibbsSampler<'a> {
         }
         if self.config.variant.uses_tweeting() {
             // A candidate the venue resolves to gets the same bonus one
-            // nearby neighbor would contribute.
+            // nearby neighbor would contribute (the diagonal is the kernel
+            // at the 1-mile floor).
             for m in &self.dataset.mentions {
                 for &city in self.gaz.resolve_venue(m.venue) {
                     if let Some(c) = self.candidacy.position(m.user, city) {
                         has_signal[m.user.index()] = true;
-                        scores[m.user.index()][c] -= self.power_law.kernel(1.0).ln() - 0.5;
+                        scores[m.user.index()][c] -=
+                            self.kernel.get(city.index(), city.index()).ln() - 0.5;
                     }
                 }
             }
@@ -157,17 +163,39 @@ impl<'a> GibbsSampler<'a> {
             .collect()
     }
 
-    /// The read-only view the kernel evaluates against. Outlives any borrow
-    /// of `self` (it copies the sampler's own `'a` references), so drivers
-    /// can hold it while mutating state, RNG, and weight buffers.
-    pub fn view(&self) -> SamplerView<'a> {
+    /// Sets the power law the chain samples under (the Gibbs-EM M-step)
+    /// and rebuilds the kernel table for it.
+    pub fn set_power_law(&mut self, law: PowerLaw) {
+        self.power_law = law;
+        self.kernel = KernelMatrix::build(self.gaz.distances(), law);
+    }
+
+    /// The read-only view the kernel evaluates against.
+    pub fn view(&self) -> SamplerView<'_> {
+        debug_assert_eq!(self.kernel.law(), self.power_law, "use set_power_law");
         SamplerView {
             gaz: self.gaz,
             candidacy: self.candidacy,
             random: self.random,
             config: self.config,
-            power_law: self.power_law,
+            kernel: &self.kernel,
         }
+    }
+
+    /// [`Self::view`] beside mutable borrows of the chain's state, RNG and
+    /// weight buffer, so drivers can hold the view while updating them.
+    pub(crate) fn split(
+        &mut self,
+    ) -> (SamplerView<'_>, &mut SamplerState, &mut Pcg64, &mut Vec<f64>) {
+        debug_assert_eq!(self.kernel.law(), self.power_law, "use set_power_law");
+        let view = SamplerView {
+            gaz: self.gaz,
+            candidacy: self.candidacy,
+            random: self.random,
+            config: self.config,
+            kernel: &self.kernel,
+        };
+        (view, &mut self.state, &mut self.rng, &mut self.weight_buf)
     }
 
     /// One full Gibbs sweep over all relationships.
@@ -194,31 +222,23 @@ impl<'a> GibbsSampler<'a> {
     fn resample_edge(&mut self, s: usize) -> bool {
         let e = self.dataset.edges[s];
         let (i, j) = (e.follower, e.friend);
-        let (old_mu, old_x, old_y) =
-            (self.state.mu[s], self.state.x[s] as usize, self.state.y[s] as usize);
         let count_noisy = self.config.count_noisy_assignments;
+        let (view, state, rng, buf) = self.split();
+        let (old_mu, old_x, old_y) = (state.mu[s], state.x[s] as usize, state.y[s] as usize);
 
         // Exclude the current contribution by live decrement.
         if !old_mu || count_noisy {
-            self.state.remove_user(i, old_x);
-            self.state.remove_user(j, old_y);
+            state.remove_user(i, old_x);
+            state.remove_user(j, old_y);
         }
-        let view = self.view();
-        let (mu, x, y) = kernel::edge_step(
-            &view,
-            &self.state,
-            (i, old_x),
-            (j, old_y),
-            &mut self.rng,
-            &mut self.weight_buf,
-        );
+        let (mu, x, y) = kernel::edge_step(&view, &*state, (i, old_x), (j, old_y), rng, buf);
         if !mu || count_noisy {
-            self.state.add_user(i, x);
-            self.state.add_user(j, y);
+            state.add_user(i, x);
+            state.add_user(j, y);
         }
-        self.state.mu[s] = mu;
-        self.state.x[s] = x as u16;
-        self.state.y[s] = y as u16;
+        state.mu[s] = mu;
+        state.x[s] = x as u16;
+        state.y[s] = y as u16;
         (mu, x, y) != (old_mu, old_x, old_y)
     }
 
@@ -227,32 +247,25 @@ impl<'a> GibbsSampler<'a> {
         let m = self.dataset.mentions[k];
         let (i, v) = (m.user, m.venue);
         let ci = self.candidacy.candidates(i);
-        let (old_nu, old_z) = (self.state.nu[k], self.state.z[k] as usize);
         let count_noisy = self.config.count_noisy_assignments;
+        let (view, state, rng, buf) = self.split();
+        let (old_nu, old_z) = (state.nu[k], state.z[k] as usize);
 
         if !old_nu || count_noisy {
-            self.state.remove_user(i, old_z);
+            state.remove_user(i, old_z);
         }
         if !old_nu {
-            self.state.remove_venue(ci[old_z], v);
+            state.remove_venue(ci[old_z], v);
         }
-        let view = self.view();
-        let (nu, z) = kernel::mention_step(
-            &view,
-            &self.state,
-            (i, old_z),
-            v,
-            &mut self.rng,
-            &mut self.weight_buf,
-        );
+        let (nu, z) = kernel::mention_step(&view, &*state, (i, old_z), v, rng, buf);
         if !nu || count_noisy {
-            self.state.add_user(i, z);
+            state.add_user(i, z);
         }
         if !nu {
-            self.state.add_venue(ci[z], v);
+            state.add_venue(ci[z], v);
         }
-        self.state.nu[k] = nu;
-        self.state.z[k] = z as u16;
+        state.nu[k] = nu;
+        state.z[k] = z as u16;
         (nu, z) != (old_nu, old_z)
     }
 
@@ -260,18 +273,20 @@ impl<'a> GibbsSampler<'a> {
     /// counts: `p(l|θ_i) = (ϕ̄_{i,l} + γ_{i,l}) / (ϕ̄_i + Σγ_i)`.
     pub fn estimate_theta(&self, u: UserId) -> Vec<(CityId, f64)> {
         let cands = self.candidacy.candidates(u);
-        let gammas = self.candidacy.gammas(u);
-        let mut probs: Vec<(CityId, f64)> = Vec::with_capacity(cands.len());
-        let mut total = self.candidacy.gamma_total(u);
-        for c in 0..cands.len() {
-            total += self.state.mean_user_count(u, c);
-        }
-        for (c, &city) in cands.iter().enumerate() {
-            let p = (self.state.mean_user_count(u, c) + gammas[c]) / total;
-            probs.push((city, p));
-        }
+        let mut probs: Vec<(CityId, f64)> = cands.iter().copied().zip(self.theta_row(u)).collect();
         probs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         probs
+    }
+
+    /// [`Self::estimate_theta`]'s probabilities in candidate order,
+    /// unsorted: item `c` is θ̂ at `candidates(u)[c]`.
+    pub(crate) fn theta_row(&self, u: UserId) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let gammas = self.candidacy.gammas(u);
+        let mut total = self.candidacy.gamma_total(u);
+        for c in 0..gammas.len() {
+            total += self.state.mean_user_count(u, c);
+        }
+        (0..gammas.len()).map(move |c| (self.state.mean_user_count(u, c) + gammas[c]) / total)
     }
 
     /// A joint log-likelihood proxy under current assignments (monitoring
@@ -286,9 +301,7 @@ impl<'a> GibbsSampler<'a> {
                 } else {
                     let x = self.candidacy.candidates(e.follower)[self.state.x[s] as usize];
                     let y = self.candidacy.candidates(e.friend)[self.state.y[s] as usize];
-                    ll += ((1.0 - self.config.rho_f)
-                        * self.power_law.eval(self.gaz.distance(x, y)))
-                    .ln();
+                    ll += ((1.0 - self.config.rho_f) * self.kernel.eval(x.index(), y.index())).ln();
                 }
             }
         }

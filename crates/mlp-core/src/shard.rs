@@ -53,6 +53,7 @@ use crate::snapshot::{
     gazetteer_fingerprint, PosteriorSnapshot, UserArena, UserPosterior, VenueArena,
 };
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
+use mlp_geo::KernelMatrix;
 use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::stream::{CorpusChunk, CorpusError, CorpusReader};
 use mlp_social::{Csr, UserId};
@@ -351,7 +352,8 @@ struct ShardedTrainer<'g, 'r> {
     scratch: PathBuf,
     profiles: CandidateProfiles,
     random: RandomModels,
-    power_law: mlp_geo::PowerLaw,
+    /// `d^α` per city pair for the (possibly data-fitted) power law.
+    kernel: KernelMatrix,
     modes: Vec<Option<u32>>,
     // Global collapsed counts in the candidate slot space.
     counts: Vec<u32>,
@@ -483,7 +485,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                 config.power_law = fit;
             }
         }
-        let power_law = config.power_law;
+        let kernel = KernelMatrix::build(gaz.distances(), config.power_law);
 
         // Pass 3: venue support bitmap + init-mode scores (one pass; both
         // need the finished candidate sets).
@@ -503,7 +505,8 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                     for &city in gaz.resolve_venue(m.venue) {
                         if let Some(c) = profiles.position(m.user, city) {
                             has_signal[m.user.index()] = true;
-                            scores[profiles.slot(m.user, c)] -= power_law.kernel(1.0).ln() - 0.5;
+                            scores[profiles.slot(m.user, c)] -=
+                                kernel.get(city.index(), city.index()).ln() - 0.5;
                         }
                     }
                 }
@@ -514,9 +517,9 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                         if let Some(anchor) = registered[other.index()] {
                             has_signal[user.index()] = true;
                             let base = profiles.slot(user, 0);
+                            let row = kernel.row(anchor.index());
                             for (c, &city) in profiles.candidates(user).iter().enumerate() {
-                                scores[base + c] +=
-                                    power_law.kernel(gaz.distance(city, anchor)).ln();
+                                scores[base + c] += row[city.index()].ln();
                             }
                         }
                     }
@@ -557,7 +560,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             scratch,
             profiles,
             random,
-            power_law,
+            kernel,
             modes,
             counts: vec![0; num_slots],
             totals: vec![0; n],
@@ -660,7 +663,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             candidacy: &self.profiles,
             random: &self.random,
             config: &self.config,
-            power_law: self.power_law,
+            kernel: &self.kernel,
         };
         let count_noisy = self.config.count_noisy_assignments;
         let uses_following = self.config.variant.uses_following();
@@ -835,7 +838,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             delta: self.config.delta,
             rho_f: self.config.rho_f,
             rho_t: self.config.rho_t,
-            power_law: self.power_law,
+            power_law: self.kernel.law(),
             follow_prob: self.random.follow_prob(),
             venue_probs: (0..self.gaz.num_venues())
                 .map(|v| self.random.venue_prob(VenueId(v as u32)))

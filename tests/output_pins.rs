@@ -12,6 +12,10 @@
 //!   `reconcile_every` 2 (the sharded super-sweep);
 //! * the `determinism_hash` of a fixed `FoldInEngine::fold_in_batch`
 //!   (the fold-in chain);
+//! * the encoded posterior of a two-round Gibbs-EM run (the second round
+//!   samples under the M-step's refitted power law);
+//! * `Mlp::run`'s MAP edge and mention assignments and the bits of every
+//!   sweep's log-likelihood proxy;
 //!
 //! each for the default config and for the `count_noisy_assignments`
 //! ablation, whose count bookkeeping takes the other branches.
@@ -39,12 +43,16 @@ const PINS: &[(&str, u64)] = &[
     ("default/shards=2", 0xa5dfb80452f0cb1f),
     ("default/shards=3", 0xfbdcb194b35bbc82),
     ("default/fold_in", 0x051f099d1233e0c8),
+    ("default/gibbs_em", 0x9c2b4aab160cbe87),
+    ("default/run", 0xef8cdfd626054a47),
     ("count_noisy/threads=1", 0x17eef9a41551fd10),
     ("count_noisy/threads=2", 0x03e25d192d10c490),
     ("count_noisy/threads=4", 0xde2f6d4b3910d741),
     ("count_noisy/shards=2", 0xd9c8cc2111c954dc),
     ("count_noisy/shards=3", 0xfaa8c6768efcc782),
     ("count_noisy/fold_in", 0x6cc0d18c6429412f),
+    ("count_noisy/gibbs_em", 0xb8c148d7edeab3cd),
+    ("count_noisy/run", 0xb69c1f272ca643c7),
 ];
 
 fn config(count_noisy: bool, threads: usize) -> MlpConfig {
@@ -60,6 +68,25 @@ fn config(count_noisy: bool, threads: usize) -> MlpConfig {
 
 fn snapshot_hash(snapshot: &PosteriorSnapshot) -> u64 {
     artifact_fingerprint(snapshot.try_encode().unwrap().as_slice())
+}
+
+/// FNV-1a over `Mlp::run`'s MAP assignments, then over the bits of each
+/// sweep's log-likelihood proxy.
+fn run_hash(result: &MlpResult) -> u64 {
+    let mut bytes = Vec::new();
+    for a in &result.edge_assignments {
+        bytes.push(a.noisy as u8);
+        bytes.extend(a.x.0.to_le_bytes());
+        bytes.extend(a.y.0.to_le_bytes());
+    }
+    for a in &result.mention_assignments {
+        bytes.push(a.noisy as u8);
+        bytes.extend(a.z.0.to_le_bytes());
+    }
+    for it in &result.diagnostics.iterations {
+        bytes.extend(it.log_likelihood.to_bits().to_le_bytes());
+    }
+    artifact_fingerprint(&bytes)
 }
 
 /// Every pinned hash of one config, in `PINS` order.
@@ -90,6 +117,14 @@ fn hashes(count_noisy: bool, corpus: &std::path::Path, gaz: &Gazetteer) -> Vec<(
     let fold_in = FoldInConfig { sweeps: 12, burn_in: 4, seed: SEED, ..Default::default() };
     let engine = FoldInEngine::new(&snapshot, gaz, fold_in).unwrap();
     out.push((format!("{tag}/fold_in"), determinism_hash(&engine.fold_in_batch(&batch).unwrap())));
+
+    let em = MlpConfig { gibbs_em: true, em_iterations: 2, ..config(count_noisy, 1) };
+    let (result, snapshot) = Mlp::new(gaz, &data.dataset, em).unwrap().run_with_snapshot();
+    assert_eq!(result.diagnostics.power_law_trace.len(), 1, "the M-step must refit the law");
+    out.push((format!("{tag}/gibbs_em"), snapshot_hash(&snapshot)));
+
+    let result = Mlp::new(gaz, &data.dataset, config(count_noisy, 1)).unwrap().run();
+    out.push((format!("{tag}/run"), run_hash(&result)));
     out
 }
 
