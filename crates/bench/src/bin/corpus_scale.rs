@@ -23,7 +23,7 @@
 //! column degrades to "n/a" (`null` in JSON) and the budget check is
 //! skipped with a notice instead of vacuously passing.
 
-use mlp_bench::{mb_cell, mb_json, peak_rss_mb};
+use mlp_bench::{doc_usage, mb_cell, mb_json, parse_cli, peak_rss_mb, Flags};
 use mlp_core::{MlpConfig, NewUserObservations, ProfileRequest, ServingEngine};
 use mlp_gazetteer::{Gazetteer, SynthConfig, VenueId};
 use mlp_social::stream::StreamingGenerator;
@@ -44,11 +44,7 @@ struct Args {
     rss_budget_mb: Option<u64>,
 }
 
-fn parse_num(s: &str) -> u64 {
-    s.replace('_', "").parse().unwrap_or_else(|e| panic!("bad number {s}: {e}"))
-}
-
-fn parse_args() -> Args {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut a = Args {
         sizes: vec![10_000, 100_000],
         chunk: 50_000,
@@ -61,28 +57,23 @@ fn parse_args() -> Args {
         json: None,
         rss_budget_mb: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| panic!("{flag} requires a value"));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--sizes" => {
-                a.sizes = value().split(',').map(|s| parse_num(s) as usize).collect();
-            }
-            "--chunk" => a.chunk = parse_num(&value()) as usize,
-            "--shards" => a.shards = parse_num(&value()) as usize,
-            "--reconcile-every" => a.reconcile_every = parse_num(&value()) as usize,
-            "--iters" => a.iters = parse_num(&value()) as usize,
-            "--cities" => a.cities = parse_num(&value()) as usize,
-            "--seed" => a.seed = parse_num(&value()),
-            "--serve-requests" => a.serve_requests = parse_num(&value()) as usize,
-            "--json" => a.json = Some(PathBuf::from(value())),
-            "--rss-budget-mb" => a.rss_budget_mb = Some(parse_num(&value())),
-            other => panic!("unknown flag {other}"),
+            "--sizes" => a.sizes = flags.nums(&flag)?,
+            "--chunk" => a.chunk = flags.num(&flag)?,
+            "--shards" => a.shards = flags.num(&flag)?,
+            "--reconcile-every" => a.reconcile_every = flags.num(&flag)?,
+            "--iters" => a.iters = flags.num(&flag)?,
+            "--cities" => a.cities = flags.num(&flag)?,
+            "--seed" => a.seed = flags.num(&flag)?,
+            "--serve-requests" => a.serve_requests = flags.num(&flag)?,
+            "--json" => a.json = Some(PathBuf::from(flags.value(&flag)?)),
+            "--rss-budget-mb" => a.rss_budget_mb = Some(flags.num(&flag)?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    assert!(!a.sizes.is_empty(), "--sizes must name at least one size");
     a.sizes.sort_unstable();
-    a
+    Ok(a)
 }
 
 struct Row {
@@ -98,7 +89,7 @@ struct Row {
 }
 
 fn main() {
-    let a = parse_args();
+    let a = parse_cli(&doc_usage(include_str!("corpus_scale.rs")), parse_args);
     let gaz =
         Gazetteer::with_synthetic(&SynthConfig { total_cities: a.cities, ..Default::default() });
     println!(

@@ -20,6 +20,7 @@
 //! wave must trigger at least one auto-refresh *and* one drift-triggered
 //! retrain whose committed accuracy recovers above the dip it reacted to.
 
+use mlp_bench::{doc_usage, parse_cli, Flags};
 use mlp_core::MlpConfig;
 use mlp_eval::{run_scenario, ScenarioReport, ScenarioRunConfig, TextTable, TickAction};
 use mlp_gazetteer::Gazetteer;
@@ -37,11 +38,7 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_num(s: &str) -> u64 {
-    s.replace('_', "").parse().unwrap_or_else(|e| panic!("bad number {s}: {e}"))
-}
-
-fn parse_args() -> Args {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut a = Args {
         users: 400,
         ticks: 8,
@@ -52,28 +49,30 @@ fn parse_args() -> Args {
         json: None,
         smoke: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| panic!("{flag} requires a value"));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--users" => a.users = parse_num(&value()) as usize,
-            "--ticks" => a.ticks = parse_num(&value()) as usize,
-            "--seed" => a.seed = parse_num(&value()),
-            "--iters" => a.iters = parse_num(&value()) as usize,
-            "--requests" => a.requests = parse_num(&value()) as usize,
+            "--users" => a.users = flags.num(&flag)?,
+            "--ticks" => a.ticks = flags.num(&flag)?,
+            "--seed" => a.seed = flags.num(&flag)?,
+            "--iters" => a.iters = flags.num(&flag)?,
+            "--requests" => a.requests = flags.num(&flag)?,
             "--scenarios" => {
-                a.scenarios = value().split(',').map(|s| s.trim().to_string()).collect();
+                a.scenarios =
+                    flags.value(&flag)?.split(',').map(|s| s.trim().to_string()).collect();
             }
-            "--json" => a.json = Some(PathBuf::from(value())),
+            "--json" => a.json = Some(PathBuf::from(flags.value(&flag)?)),
             "--smoke" => a.smoke = true,
-            other => panic!("unknown flag {other}"),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    a
+    if let Some(name) = a.scenarios.iter().find(|n| !CANNED_SCENARIOS.contains(&n.as_str())) {
+        return Err(format!("unknown scenario {name} (canned: {})", CANNED_SCENARIOS.join(", ")));
+    }
+    Ok(a)
 }
 
 fn main() {
-    let a = parse_args();
+    let a = parse_cli(&doc_usage(include_str!("scenario_bench.rs")), parse_args);
     let gaz = Gazetteer::us_cities();
     println!(
         "# scenario_bench | users={} ticks={} seed={} iters={} requests={} scenarios={:?}",
@@ -94,9 +93,8 @@ fn main() {
 
     let mut reports: Vec<ScenarioReport> = Vec::new();
     for name in &a.scenarios {
-        let script = ScenarioScript::by_name(name, a.users, a.ticks).unwrap_or_else(|| {
-            panic!("unknown scenario {name} (canned: {})", CANNED_SCENARIOS.join(", "))
-        });
+        let script =
+            ScenarioScript::by_name(name, a.users, a.ticks).expect("names checked at parse time");
         let report =
             run_scenario(&gaz, script, &config).unwrap_or_else(|e| panic!("scenario {name}: {e}"));
         println!("\n## {name}");

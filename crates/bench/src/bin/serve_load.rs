@@ -11,7 +11,7 @@
 //! clients against a background refresh writer, printing sustained QPS
 //! and p50/p90/p99/p999 latency. `--smoke` is the CI gate: a sub-second
 //! run that must serve without a single error. `--help` prints the usage
-//! block above.
+//! block above; a bad flag prints it to stderr and exits 2.
 //!
 //! `--artifact FILE` makes the run file-backed on the durable path:
 //! every churn commit is fsync'd to the sidecar `FILE.wal` before it
@@ -23,29 +23,14 @@
 //! uninterrupted replay of the same churn waves.
 
 use mlp_bench::load::{self, LoadConfig, LoadMode};
+use mlp_bench::{doc_usage, parse_cli};
 
 fn main() {
-    let (config, mode) = LoadConfig::parse_from(std::env::args().skip(1));
-    if mode == LoadMode::Help {
-        println!("{}", usage());
-        return;
-    }
+    let usage = doc_usage(include_str!("serve_load.rs"));
+    let (config, mode) = parse_cli(&usage, LoadConfig::parse_from);
     println!("{}", config.banner());
     run_mode(config, mode);
     println!("peak rss: {}", mlp_bench::peak_rss_display());
-}
-
-/// The usage block (the `text` code block) of this file's module doc.
-fn usage() -> String {
-    include_str!("serve_load.rs")
-        .lines()
-        .map_while(|line| line.strip_prefix("//!"))
-        .skip_while(|line| !line.contains("```text"))
-        .skip(1)
-        .take_while(|line| !line.contains("```"))
-        .map(|line| line.strip_prefix(' ').unwrap_or(line))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 fn run_mode(config: LoadConfig, mode: LoadMode) {
@@ -67,6 +52,5 @@ fn run_mode(config: LoadConfig, mode: LoadMode) {
             println!("{}", summary.summary());
             println!("recover: ok");
         }
-        LoadMode::Help => unreachable!("handled in main"),
     }
 }

@@ -28,7 +28,7 @@
 //! full-verify ratio (~3x, both sides I/O-bound) would flake.
 
 use bytes::Bytes;
-use mlp_bench::current_rss;
+use mlp_bench::{current_rss, doc_usage, parse_cli, Flags};
 use mlp_core::snapshot::{gazetteer_fingerprint, Integrity, PosteriorSnapshot, UserPosterior};
 use mlp_core::{UserArena, VenueArena};
 use mlp_gazetteer::{CityId, Gazetteer, SynthConfig};
@@ -49,11 +49,7 @@ struct Args {
     min_speedup: Option<f64>,
 }
 
-fn parse_num(s: &str) -> u64 {
-    s.replace('_', "").parse().unwrap_or_else(|e| panic!("bad number {s}: {e}"))
-}
-
-fn parse_args() -> Args {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut a = Args {
         sizes: vec![10_000, 100_000, 1_000_000],
         cities: 300,
@@ -64,28 +60,24 @@ fn parse_args() -> Args {
         rss_budget_mb: None,
         min_speedup: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| panic!("{flag} requires a value"));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--sizes" => a.sizes = value().split(',').map(|s| parse_num(s) as usize).collect(),
-            "--cities" => a.cities = parse_num(&value()) as usize,
-            "--candidates" => a.candidates = parse_num(&value()) as usize,
-            "--seed" => a.seed = parse_num(&value()),
-            "--json" => a.json = Some(PathBuf::from(value())),
-            "--budget-ms" => a.budget_ms = Some(parse_num(&value()) as f64),
-            "--rss-budget-mb" => a.rss_budget_mb = Some(parse_num(&value()) as f64),
-            "--min-speedup" => {
-                a.min_speedup =
-                    Some(value().parse().unwrap_or_else(|e| panic!("bad speedup: {e}")));
-            }
-            other => panic!("unknown flag {other}"),
+            "--sizes" => a.sizes = flags.nums(&flag)?,
+            "--cities" => a.cities = flags.num(&flag)?,
+            "--candidates" => a.candidates = flags.num(&flag)?,
+            "--seed" => a.seed = flags.num(&flag)?,
+            "--json" => a.json = Some(PathBuf::from(flags.value(&flag)?)),
+            "--budget-ms" => a.budget_ms = Some(flags.num(&flag)?),
+            "--rss-budget-mb" => a.rss_budget_mb = Some(flags.num(&flag)?),
+            "--min-speedup" => a.min_speedup = Some(flags.num(&flag)?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    assert!(!a.sizes.is_empty(), "--sizes must name at least one size");
-    assert!(a.candidates >= 1, "--candidates must be at least 1");
+    if a.candidates == 0 {
+        return Err("--candidates must be at least 1".into());
+    }
     a.sizes.sort_unstable();
-    a
+    Ok(a)
 }
 
 /// A deterministic, structurally valid posterior of `users` users: `k`
@@ -184,7 +176,7 @@ fn mb(bytes: u64) -> f64 {
 }
 
 fn main() {
-    let a = parse_args();
+    let a = parse_cli(&doc_usage(include_str!("snapshot_load.rs")), parse_args);
     let gaz =
         Gazetteer::with_synthetic(&SynthConfig { total_cities: a.cities, ..Default::default() });
     println!(

@@ -18,7 +18,10 @@
 //! | crawl statistics (Sec. 5) | `dataset_stats` |
 //!
 //! Criterion microbenches live in `benches/`. Every binary accepts
-//! `--users N --cities N --seed N --iters N --folds N --quick`.
+//! `--users N --cities N --seed N --iters N --folds N --quick`. Every bench
+//! binary parses its command line through [`parse_cli`]: `--help` prints
+//! its usage and exits 0, and a bad flag prints usage to stderr and exits
+//! 2.
 //!
 //! Beyond the paper artifacts, [`load`] is the closed-loop serving load
 //! generator behind the `serve_load` binary (sustained QPS and tail
@@ -106,6 +109,98 @@ pub fn mb_json(mb: Option<f64>) -> String {
     mb.map_or_else(|| "null".into(), |v| format!("{v:.1}"))
 }
 
+/// A bench binary's command-line flags, consumed in order. Parsers read
+/// flags with the [`Iterator`] impl and their values with [`Self::value`]
+/// / [`Self::num`], and return `Err(message)` on an unknown flag or a bad
+/// value; [`parse_cli`] turns that into usage on stderr and exit code 2.
+pub struct Flags {
+    args: std::vec::IntoIter<String>,
+}
+
+impl Flags {
+    /// The value following `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.args.next().ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The value following `flag` as a number; `_` separators are allowed
+    /// (`100_000`).
+    pub fn num<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let raw = self.value(flag)?;
+        parse_num(flag, &raw)
+    }
+
+    /// The value following `flag` as a comma-separated list of numbers.
+    pub fn nums<T: std::str::FromStr>(&mut self, flag: &str) -> Result<Vec<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)?.split(',').map(|raw| parse_num(flag, raw.trim())).collect()
+    }
+}
+
+impl Iterator for Flags {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.args.next()
+    }
+}
+
+fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.replace('_', "").parse().map_err(|e| format!("{flag}: bad value {raw:?}: {e}"))
+}
+
+/// Runs `parse` over `args`. `Ok(None)` means `--help` or `-h` appeared
+/// anywhere, in which case nothing else is parsed.
+pub fn parse_args<T>(
+    args: impl IntoIterator<Item = String>,
+    parse: impl FnOnce(&mut Flags) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let args: Vec<String> = args.into_iter().collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(None);
+    }
+    parse(&mut Flags { args: args.into_iter() }).map(Some)
+}
+
+/// [`parse_args`] over the process arguments, exiting where the command
+/// line asks for no run: `--help` prints `usage` and exits 0; an unknown
+/// flag or a bad value prints the error and `usage` to stderr and exits 2.
+pub fn parse_cli<T>(usage: &str, parse: impl FnOnce(&mut Flags) -> Result<T, String>) -> T {
+    match parse_args(std::env::args().skip(1), parse) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// The usage block of a binary's module doc: the lines of its first
+/// ` ```text ` fence. Binaries pass `include_str!` of their own source.
+pub fn doc_usage(source: &str) -> String {
+    source
+        .lines()
+        .map_while(|line| line.strip_prefix("//!"))
+        .skip_while(|line| !line.contains("```text"))
+        .skip(1)
+        .take_while(|line| !line.contains("```"))
+        .map(|line| line.strip_prefix(' ').unwrap_or(line))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 /// Shared CLI arguments for the bench binaries.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
@@ -128,41 +223,36 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args`, applying `--quick` (a 1,000-user,
-    /// single-fold smoke configuration) before explicit overrides.
+    /// The flags every paper-artifact binary accepts.
+    pub const USAGE: &'static str =
+        "flags: [--users N] [--cities N] [--seed N] [--iters N] [--folds N] [--quick] [--help]";
+
+    /// Parses `std::env::args` (see [`parse_cli`] for `--help` and bad
+    /// flags), applying `--quick` (a 1,000-user, single-fold smoke
+    /// configuration) before explicit overrides.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        parse_cli(Self::USAGE, Self::parse_from)
     }
 
-    /// Parses from an explicit iterator (testable).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parses from explicit flags (testable).
+    pub fn parse_from(flags: &mut Flags) -> Result<Self, String> {
         let mut out = Self::default();
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
+        while let Some(flag) = flags.next() {
             match flag.as_str() {
                 "--quick" => {
                     out.users = 1_000;
                     out.folds = 1;
                     out.iters = 12;
                 }
-                "--users" | "--cities" | "--seed" | "--iters" | "--folds" => {
-                    let value = it
-                        .next()
-                        .unwrap_or_else(|| panic!("{flag} requires a value"))
-                        .parse::<u64>()
-                        .unwrap_or_else(|e| panic!("{flag}: {e}"));
-                    match flag.as_str() {
-                        "--users" => out.users = value as usize,
-                        "--cities" => out.cities = value as usize,
-                        "--seed" => out.seed = value,
-                        "--iters" => out.iters = value as usize,
-                        _ => out.folds = value as usize,
-                    }
-                }
-                other => panic!("unknown flag {other}"),
+                "--users" => out.users = flags.num(&flag)?,
+                "--cities" => out.cities = flags.num(&flag)?,
+                "--seed" => out.seed = flags.num(&flag)?,
+                "--iters" => out.iters = flags.num(&flag)?,
+                "--folds" => out.folds = flags.num(&flag)?,
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Builds the experiment context these arguments describe.
@@ -190,8 +280,12 @@ impl BenchArgs {
 mod tests {
     use super::*;
 
+    fn try_parse(args: &[&str]) -> Result<Option<BenchArgs>, String> {
+        parse_args(args.iter().map(|s| s.to_string()), BenchArgs::parse_from)
+    }
+
     fn parse(args: &[&str]) -> BenchArgs {
-        BenchArgs::parse_from(args.iter().map(|s| s.to_string()))
+        try_parse(args).unwrap().unwrap()
     }
 
     #[test]
@@ -217,9 +311,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        parse(&["--bogus"]);
+    fn bad_flags_are_errors_and_help_wins() {
+        assert_eq!(try_parse(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
+        assert!(try_parse(&["--users"]).unwrap_err().contains("requires a value"));
+        assert!(try_parse(&["--users", "many"]).unwrap_err().contains("bad value"));
+        assert!(try_parse(&["--users", "1_000"]).unwrap().is_some());
+        for help in ["--help", "-h"] {
+            assert!(try_parse(&["--bogus", help]).unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn doc_usage_reads_the_text_fence() {
+        let source =
+            "//! Title.\n//!\n//! ```text\n//! tool [--a N]\n//!      [--b]\n//! ```\nfn main() {}";
+        assert_eq!(doc_usage(source), "tool [--a N]\n     [--b]");
     }
 
     #[test]

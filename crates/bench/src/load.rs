@@ -25,6 +25,7 @@
 //!   recovered posterior byte-identical — and bit-identically serving —
 //!   versus an uninterrupted replay of the same churn waves.
 
+use crate::Flags;
 use mlp_core::engine::{response_determinism_hash, EngineError, ProfileRequest, ServingEngine};
 use mlp_core::{FoldInConfig, MlpConfig};
 use mlp_gazetteer::Gazetteer;
@@ -113,49 +114,38 @@ impl LoadConfig {
         }
     }
 
-    /// Parses `serve_load` flags from an explicit iterator (testable).
-    /// `--smoke` applies the smoke preset before explicit overrides;
-    /// `--help`/`-h` stops parsing and asks for the usage text.
-    ///
-    /// # Panics
-    /// Panics on unknown flags or malformed values (the binary's
-    /// fail-loud contract, matching [`crate::BenchArgs`]).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> (Self, LoadMode) {
+    /// Parses `serve_load` flags (testable through
+    /// [`crate::parse_args`]). `--smoke` applies the smoke preset before
+    /// explicit overrides.
+    pub fn parse_from(flags: &mut Flags) -> Result<(Self, LoadMode), String> {
         let mut out = Self::default();
         let mut mode = LoadMode::Measure;
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut value =
-                |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} requires a value"));
-            let num = |flag: &str, raw: String| {
-                raw.parse::<f64>().unwrap_or_else(|e| panic!("{flag}: {e}"))
-            };
+        while let Some(flag) = flags.next() {
             match flag.as_str() {
                 "--smoke" => {
                     out = Self::smoke();
                     mode = LoadMode::Smoke;
                 }
-                "--help" | "-h" => return (out, LoadMode::Help),
                 "--recover" => mode = LoadMode::Recover,
                 "--no-churn" => out.churn = false,
-                "--users" => out.users = num(&flag, value(&flag)) as usize,
-                "--churn-pool" => out.churn_pool = num(&flag, value(&flag)) as usize,
-                "--clients" => out.clients = num(&flag, value(&flag)) as usize,
-                "--seconds" => out.seconds = num(&flag, value(&flag)),
-                "--seed" => out.seed = num(&flag, value(&flag)) as u64,
-                "--threads" => out.threads = num(&flag, value(&flag)) as usize,
-                "--coalesce" => out.coalesce = num(&flag, value(&flag)) as usize,
-                "--churn-batch" => out.churn_batch = num(&flag, value(&flag)) as usize,
-                "--artifact" => out.artifact = Some(value(&flag)),
-                "--kill-after" => out.kill_after = Some(num(&flag, value(&flag))),
-                "--compact-bytes" => out.compact_bytes = num(&flag, value(&flag)) as u64,
-                other => panic!("unknown flag {other}"),
+                "--users" => out.users = flags.num(&flag)?,
+                "--churn-pool" => out.churn_pool = flags.num(&flag)?,
+                "--clients" => out.clients = flags.num(&flag)?,
+                "--seconds" => out.seconds = flags.num(&flag)?,
+                "--seed" => out.seed = flags.num(&flag)?,
+                "--threads" => out.threads = flags.num(&flag)?,
+                "--coalesce" => out.coalesce = flags.num(&flag)?,
+                "--churn-batch" => out.churn_batch = flags.num(&flag)?,
+                "--artifact" => out.artifact = Some(flags.value(&flag)?),
+                "--kill-after" => out.kill_after = Some(flags.num(&flag)?),
+                "--compact-bytes" => out.compact_bytes = flags.num(&flag)?,
+                other => return Err(format!("unknown flag {other}")),
             }
         }
         if mode == LoadMode::Recover && out.artifact.is_none() {
-            panic!("--recover requires --artifact FILE");
+            return Err("--recover requires --artifact FILE".into());
         }
-        (out, mode)
+        Ok((out, mode))
     }
 
     /// One-line provenance banner.
@@ -189,8 +179,6 @@ pub enum LoadMode {
     Measure,
     /// The CI gate: smoke preset + hard assertions on the report.
     Smoke,
-    /// Print the usage text and exit.
-    Help,
     /// Crash-recovery verification: reopen `--artifact`, replay the
     /// committed write-ahead log, and prove the recovered state equal to
     /// an uninterrupted replay (see [`recover`]).
@@ -554,8 +542,12 @@ pub fn recover(config: &LoadConfig) -> Result<RecoverSummary, EngineError> {
 mod tests {
     use super::*;
 
+    fn try_parse(args: &[&str]) -> Result<Option<(LoadConfig, LoadMode)>, String> {
+        crate::parse_args(args.iter().map(|s| s.to_string()), LoadConfig::parse_from)
+    }
+
     fn parse(args: &[&str]) -> (LoadConfig, LoadMode) {
-        LoadConfig::parse_from(args.iter().map(|s| s.to_string()))
+        try_parse(args).unwrap().unwrap()
     }
 
     #[test]
@@ -583,14 +575,14 @@ mod tests {
     #[test]
     fn help_stops_parsing() {
         for flag in ["--help", "-h"] {
-            assert_eq!(parse(&["--recover", flag, "--bogus"]).1, LoadMode::Help);
+            assert_eq!(try_parse(&["--recover", flag, "--bogus"]), Ok(None));
         }
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        parse(&["--bogus"]);
+    fn bad_flags_are_errors() {
+        assert_eq!(try_parse(&["--bogus"]), Err("unknown flag --bogus".into()));
+        assert!(try_parse(&["--seconds", "soon"]).unwrap_err().contains("bad value"));
     }
 
     #[test]
@@ -613,9 +605,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--recover requires --artifact")]
-    fn recover_without_artifact_panics() {
-        parse(&["--recover"]);
+    fn recover_without_artifact_is_an_error() {
+        assert_eq!(try_parse(&["--recover"]), Err("--recover requires --artifact FILE".into()));
     }
 
     #[test]

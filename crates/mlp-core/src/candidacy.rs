@@ -11,104 +11,81 @@
 //! with the fast ~14-iteration convergence), and it carries the sparse
 //! prior mass `τ·λ_i`. The supervision term `η_i·Λ·γ` adds a large
 //! pseudo-count on a labeled user's registered city.
+//!
+//! Both trainers build it through one `CandidacyBuilder`: it takes the
+//! relationships in any order — the whole dataset for
+//! [`Candidacy::build`], one streamed chunk at a time for the sharded
+//! trainer ([`crate::shard`]) — and `finish` adds each user's own label,
+//! the popular-city fallback, the `candidacy_pruning` ablation and the
+//! priors. The result is stored as CSR slabs: one offset table shared by
+//! the candidate and `γ` slabs, whose flat *slot* space the count arenas
+//! index.
 
 use crate::config::MlpConfig;
 use mlp_gazetteer::{CityId, Gazetteer};
-use mlp_social::{Adjacency, Dataset, UserId};
+use mlp_social::{Adjacency, Dataset, FollowEdge, TweetMention, UserId};
+use std::ops::Range;
 
-/// Per-user candidate city lists with aligned priors.
+/// Per-user candidate city lists with aligned priors, as CSR slabs.
 #[derive(Debug, Clone)]
 pub struct Candidacy {
-    /// `candidates[i]` — sorted candidate cities of user i.
-    candidates: Vec<Vec<CityId>>,
-    /// `gammas[i][c]` — prior γ for `candidates[i][c]`.
-    gammas: Vec<Vec<f64>>,
+    /// `offsets[i]..offsets[i + 1]` — user i's range in the slabs.
+    offsets: Vec<u32>,
+    /// Candidate cities, each user's row sorted ascending.
+    cities: Vec<CityId>,
+    /// Prior γ of each candidate, parallel to `cities`.
+    gammas: Vec<f64>,
     /// `gamma_totals[i]` — Σ_l γ_{i,l}, the denominator constant of Eq. 10.
     gamma_totals: Vec<f64>,
 }
 
 impl Candidacy {
-    /// Builds candidacy vectors and priors for every user.
-    pub fn build(gaz: &Gazetteer, dataset: &Dataset, adj: &Adjacency, config: &MlpConfig) -> Self {
-        let n = dataset.num_users();
-        let mut candidates: Vec<Vec<CityId>> = Vec::with_capacity(n);
-
-        // Fallback pool: most populous cities, for signal-free users.
-        let mut by_pop: Vec<CityId> = (0..gaz.num_cities() as u32).map(CityId).collect();
-        by_pop.sort_by_key(|&c| std::cmp::Reverse(gaz.city(c).population));
-        by_pop.truncate(config.fallback_popular_k.max(1));
-
-        for u in 0..n {
-            let user = UserId(u as u32);
-            let mut set: Vec<CityId> = if config.candidacy_pruning {
-                let mut set = Vec::new();
-                if let Some(c) = dataset.registered[u] {
-                    set.push(c);
-                }
-                if config.variant.uses_following() {
-                    for &s in adj.out_edges(user) {
-                        let friend = dataset.edges[s as usize].friend;
-                        if let Some(c) = dataset.registered[friend.index()] {
-                            set.push(c);
-                        }
-                    }
-                    for &s in adj.in_edges(user) {
-                        let follower = dataset.edges[s as usize].follower;
-                        if let Some(c) = dataset.registered[follower.index()] {
-                            set.push(c);
-                        }
-                    }
-                }
-                if config.variant.uses_tweeting() {
-                    for &k in adj.mentions_of(user) {
-                        let venue = dataset.mentions[k as usize].venue;
-                        set.extend(gaz.resolve_venue(venue).iter().copied());
-                    }
-                }
-                set
-            } else {
-                (0..gaz.num_cities() as u32).map(CityId).collect()
-            };
-            set.sort_unstable();
-            set.dedup();
-            if set.is_empty() {
-                set = by_pop.clone();
-            }
-            candidates.push(set);
+    /// Builds every user's candidacy vector and priors from the dataset's
+    /// relationship lists; `_adj` is unused and kept for existing callers.
+    pub fn build(gaz: &Gazetteer, dataset: &Dataset, _adj: &Adjacency, config: &MlpConfig) -> Self {
+        let mut builder = CandidacyBuilder::new(dataset.num_users(), config);
+        for e in &dataset.edges {
+            builder.observe_edge(e, &dataset.registered);
         }
-
-        // Priors: γ_{i,l} = τ·λ_{i,l} + boost·η_{i,l}  (Eq. 3, diagonal Λ).
-        let mut gammas = Vec::with_capacity(n);
-        let mut gamma_totals = Vec::with_capacity(n);
-        for (u, cands) in candidates.iter().enumerate() {
-            let mut g: Vec<f64> = vec![config.tau; cands.len()];
-            if let Some(home) = dataset.registered[u] {
-                if let Ok(pos) = cands.binary_search(&home) {
-                    g[pos] += config.supervision_boost;
-                }
-            }
-            gamma_totals.push(g.iter().sum());
-            gammas.push(g);
+        for m in &dataset.mentions {
+            builder.observe_mention(gaz, m);
         }
-
-        Self { candidates, gammas, gamma_totals }
+        builder.finish(gaz, &dataset.registered, config)
     }
 
     /// Number of users covered.
     pub fn num_users(&self) -> usize {
-        self.candidates.len()
+        self.gamma_totals.len()
+    }
+
+    /// User `u`'s range in the flat slot space.
+    #[inline]
+    pub(crate) fn slots(&self, u: UserId) -> Range<usize> {
+        self.offsets[u.index()] as usize..self.offsets[u.index() + 1] as usize
+    }
+
+    /// Flat slot of user `u`'s candidate index `c` — the index the count,
+    /// accumulator and delta arenas share.
+    #[inline]
+    pub fn slot(&self, u: UserId, c: usize) -> usize {
+        self.offsets[u.index()] as usize + c
+    }
+
+    /// Total candidate entries over all users (the slot-space size).
+    pub fn num_slots(&self) -> usize {
+        self.cities.len()
     }
 
     /// Candidate cities of user `u`, sorted ascending.
     #[inline]
     pub fn candidates(&self, u: UserId) -> &[CityId] {
-        &self.candidates[u.index()]
+        &self.cities[self.slots(u)]
     }
 
     /// Priors aligned with [`Self::candidates`].
     #[inline]
     pub fn gammas(&self, u: UserId) -> &[f64] {
-        &self.gammas[u.index()]
+        &self.gammas[self.slots(u)]
     }
 
     /// Σ_l γ_{i,l} for user `u`.
@@ -120,37 +97,126 @@ impl Candidacy {
     /// Index of `city` inside user `u`'s candidate list, if present.
     #[inline]
     pub fn position(&self, u: UserId, city: CityId) -> Option<usize> {
-        self.candidates[u.index()].binary_search(&city).ok()
+        self.candidates(u).binary_search(&city).ok()
     }
 
     /// Mean candidate-list length — the pruning factor vs. |L|.
     pub fn mean_candidates(&self) -> f64 {
-        if self.candidates.is_empty() {
+        if self.num_users() == 0 {
             return 0.0;
         }
-        self.candidates.iter().map(Vec::len).sum::<usize>() as f64 / self.candidates.len() as f64
+        self.num_slots() as f64 / self.num_users() as f64
+    }
+}
+
+/// Collects candidacy evidence relationship by relationship, in any order,
+/// and finishes it into a [`Candidacy`].
+pub(crate) struct CandidacyBuilder {
+    /// Each user's observed cities so far, sorted and unique.
+    sets: Vec<Vec<CityId>>,
+    /// Whether edges / mentions contribute: the variant's, and neither
+    /// when pruning is off (every user then gets every city).
+    following: bool,
+    tweeting: bool,
+}
+
+impl CandidacyBuilder {
+    pub(crate) fn new(num_users: usize, config: &MlpConfig) -> Self {
+        let pruning = config.candidacy_pruning;
+        Self {
+            sets: vec![Vec::new(); num_users],
+            following: pruning && config.variant.uses_following(),
+            tweeting: pruning && config.variant.uses_tweeting(),
+        }
     }
 
-    /// Fraction of users whose list contains `truth(u)` — the coverage
-    /// statistic of Sec. 4.3 (the paper reports 92%).
-    pub fn coverage(&self, truth: impl Fn(UserId) -> CityId) -> f64 {
-        if self.candidates.is_empty() {
-            return 0.0;
+    /// A following relationship: each endpoint observes the other's label.
+    pub(crate) fn observe_edge(&mut self, e: &FollowEdge, registered: &[Option<CityId>]) {
+        if !self.following {
+            return;
         }
-        let hits = (0..self.candidates.len())
-            .filter(|&u| {
-                let user = UserId(u as u32);
-                self.position(user, truth(user)).is_some()
-            })
-            .count();
-        hits as f64 / self.candidates.len() as f64
+        if let Some(c) = registered[e.friend.index()] {
+            insert_sorted(&mut self.sets[e.follower.index()], c);
+        }
+        if let Some(c) = registered[e.follower.index()] {
+            insert_sorted(&mut self.sets[e.friend.index()], c);
+        }
     }
+
+    /// A tweeting relationship: the user observes every city the venue
+    /// resolves to.
+    pub(crate) fn observe_mention(&mut self, gaz: &Gazetteer, m: &TweetMention) {
+        if !self.tweeting {
+            return;
+        }
+        for &c in gaz.resolve_venue(m.venue) {
+            insert_sorted(&mut self.sets[m.user.index()], c);
+        }
+    }
+
+    /// Adds each user's own label, falls back to the most populous cities
+    /// for users with no evidence (every city when pruning is off), and
+    /// lays out the priors `γ_{i,l} = τ·λ_{i,l} + boost·η_{i,l}` (Eq. 3,
+    /// diagonal Λ).
+    pub(crate) fn finish(
+        self,
+        gaz: &Gazetteer,
+        registered: &[Option<CityId>],
+        config: &MlpConfig,
+    ) -> Candidacy {
+        let pruning = config.candidacy_pruning;
+        let fallback = if pruning {
+            popular_cities(gaz, config.fallback_popular_k)
+        } else {
+            (0..gaz.num_cities() as u32).map(CityId).collect()
+        };
+        let n = self.sets.len();
+        let mut out = Candidacy {
+            offsets: Vec::with_capacity(n + 1),
+            cities: Vec::new(),
+            gammas: Vec::new(),
+            gamma_totals: Vec::with_capacity(n),
+        };
+        out.offsets.push(0);
+        for (mut set, &home) in self.sets.into_iter().zip(registered) {
+            if let (true, Some(c)) = (pruning, home) {
+                insert_sorted(&mut set, c);
+            }
+            let row = if set.is_empty() { &fallback } else { &set };
+            let start = out.cities.len();
+            out.cities.extend_from_slice(row);
+            out.gammas.resize(out.cities.len(), config.tau);
+            if let Some(pos) = home.and_then(|h| row.binary_search(&h).ok()) {
+                out.gammas[start + pos] += config.supervision_boost;
+            }
+            out.gamma_totals.push(out.gammas[start..].iter().sum());
+            out.offsets.push(out.cities.len() as u32);
+        }
+        out
+    }
+}
+
+/// Inserts `c` into the sorted set unless it is already there.
+fn insert_sorted(set: &mut Vec<CityId>, c: CityId) {
+    if let Err(pos) = set.binary_search(&c) {
+        set.insert(pos, c);
+    }
+}
+
+/// The `k` most populous cities (at least one), sorted ascending by id —
+/// the candidate list of a user with no usable evidence.
+pub(crate) fn popular_cities(gaz: &Gazetteer, k: usize) -> Vec<CityId> {
+    let mut by_pop: Vec<CityId> = (0..gaz.num_cities() as u32).map(CityId).collect();
+    by_pop.sort_by_key(|&c| std::cmp::Reverse(gaz.city(c).population));
+    by_pop.truncate(k.max(1));
+    by_pop.sort_unstable();
+    by_pop
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_social::{FollowEdge, TweetMention};
+    use crate::snapshot::PosteriorSnapshot;
 
     fn gaz() -> Gazetteer {
         Gazetteer::us_cities()
@@ -203,6 +269,31 @@ mod tests {
         assert_eq!(cand.candidates(UserId(3)).len(), 5);
         let nyc = g.city_by_name_state("new york", "NY").unwrap();
         assert!(cand.position(UserId(3), nyc).is_some(), "NYC is in the top-5 pool");
+    }
+
+    /// On a gazetteer whose ids are not in population order, the fallback
+    /// list is still sorted: `position` finds every entry and the frozen
+    /// snapshot decodes.
+    #[test]
+    fn fallback_is_sorted_when_ids_are_not_in_population_order() {
+        let mut cities = gaz().cities().to_vec();
+        cities.reverse();
+        let g = Gazetteer::from_cities(cities);
+        let d = fixture(&g);
+        let config = MlpConfig { iterations: 2, burn_in: 1, ..Default::default() };
+        let cand = Candidacy::build(&g, &d, &Adjacency::build(&d), &config);
+
+        let fallback = cand.candidates(UserId(3));
+        assert_eq!(fallback.len(), config.fallback_popular_k);
+        assert!(fallback.windows(2).all(|w| w[0] < w[1]), "fallback not ascending: {fallback:?}");
+        for (i, &c) in fallback.iter().enumerate() {
+            assert_eq!(cand.position(UserId(3), c), Some(i), "position misses {c:?}");
+        }
+
+        let (_, snap) = crate::model::Mlp::new(&g, &d, config).unwrap().run_with_snapshot();
+        let bytes = snap.try_encode().unwrap();
+        let back = PosteriorSnapshot::decode(bytes.clone()).expect("snapshot decodes");
+        assert_eq!(back.try_encode().unwrap(), bytes);
     }
 
     #[test]
@@ -263,19 +354,6 @@ mod tests {
         let config = MlpConfig::following_only();
         let cand = Candidacy::build(&g, &d, &adj, &config);
         assert_eq!(cand.candidates(UserId(2)).len(), config.fallback_popular_k);
-    }
-
-    #[test]
-    fn coverage_statistic() {
-        let g = gaz();
-        let d = fixture(&g);
-        let adj = Adjacency::build(&d);
-        let cand = Candidacy::build(&g, &d, &adj, &MlpConfig::default());
-        let austin = g.city_by_name_state("austin", "TX").unwrap();
-        // Truth: everyone lives in Austin. Users 0 and 1 have it (own/friend
-        // label); users 2 and 3 do not.
-        let cov = cand.coverage(|_| austin);
-        assert!((cov - 0.5).abs() < 1e-12, "coverage {cov}");
     }
 
     #[test]

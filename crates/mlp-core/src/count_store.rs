@@ -11,11 +11,12 @@
 //! the fixed set of `(city, venue)` pairs that can ever hold a non-zero
 //! count. The support is knowable up front — a mention of venue `v` by
 //! user `i` can only ever be assigned to a city in `i`'s candidate list —
-//! so counts live in one flat slab, lookups are a binary search over a
-//! short sorted key row, rows iterate in venue-id order for free (no
-//! allocation, no sort), and a parallel merge is a flat index-wise
-//! delta-add. Cities whose support covers a large fraction of the venue
-//! vocabulary fall back to a dense row: O(1) indexed lookups, no search.
+//! and both trainers mark it in one [`VenueSupport`] bitmap that the
+//! store reads its rows from. Counts live in one flat slab, lookups are a
+//! binary search over a short sorted key row, rows iterate in venue-id
+//! order for free, and a parallel merge is a flat index-wise delta-add.
+//! Cities whose support covers a large fraction of the venue vocabulary
+//! fall back to a dense row: O(1) indexed lookups, no search.
 //!
 //! The per-user `ϕ` rows need no keys at all (they are dense over each
 //! user's candidate list) and are stored as a plain [`Csr`] arena by
@@ -36,6 +37,47 @@ const DENSE_DENOMINATOR: usize = 16;
 /// Sentinel in `dense_slot` marking a city stored sparsely.
 const SPARSE: u32 = u32::MAX;
 
+/// The support of a [`VenueCountStore`]: one bit per `(city, venue)` pair
+/// that can ever hold a count. Trainers mark it once per mention, over the
+/// mentioning user's candidate cities; duplicates cost nothing.
+#[derive(Debug, Clone)]
+pub struct VenueSupport {
+    /// `ceil(num_venues / 64)` words per city, city-major.
+    bits: Vec<u64>,
+    words_per_city: usize,
+    num_cities: usize,
+    num_venues: usize,
+}
+
+impl VenueSupport {
+    /// An empty support over `num_cities × num_venues`.
+    pub fn new(num_cities: usize, num_venues: usize) -> Self {
+        let words_per_city = num_venues.div_ceil(64);
+        let bits = vec![0; num_cities * words_per_city];
+        Self { bits, words_per_city, num_cities, num_venues }
+    }
+
+    /// Marks `(l, v)` as reachable.
+    #[inline]
+    pub fn mark(&mut self, l: CityId, v: VenueId) {
+        debug_assert!(v.index() < self.num_venues, "venue outside the vocabulary");
+        self.bits[l.index() * self.words_per_city + v.index() / 64] |= 1 << (v.index() % 64);
+    }
+
+    /// Marks a mention of venue `v`: it can only ever be assigned to one of
+    /// its user's `candidates`.
+    #[inline]
+    pub fn mark_mention(&mut self, candidates: &[CityId], v: VenueId) {
+        for &l in candidates {
+            self.mark(l, v);
+        }
+    }
+
+    fn row(&self, l: usize) -> &[u64] {
+        &self.bits[l * self.words_per_city..(l + 1) * self.words_per_city]
+    }
+}
+
 /// CSR-indexed sparse `φ_{l,v}` counts over a fixed support, with a dense
 /// per-city fallback above a density threshold.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,41 +97,35 @@ pub struct VenueCountStore {
 }
 
 impl VenueCountStore {
-    /// Builds a zeroed store over the given support pairs. Duplicates are
-    /// fine; pairs are deduplicated. Cities whose support exceeds
-    /// `num_venues / 16` are stored dense.
-    pub fn build(
-        num_cities: usize,
-        num_venues: usize,
-        support: impl Iterator<Item = (u32, u32)>,
-    ) -> Self {
-        let mut pairs: Vec<(u32, u32)> = support.collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        let mut row_lens = vec![0usize; num_cities];
-        for &(l, _) in &pairs {
-            row_lens[l as usize] += 1;
-        }
-
+    /// Builds a zeroed store over a marked support, reading each city's
+    /// row straight out of the bitmap: sparse rows list the marked venue
+    /// ids in ascending order, and cities whose support exceeds
+    /// `num_venues / 16` get a dense row instead.
+    pub fn build(support: &VenueSupport) -> Self {
+        let (num_cities, num_venues) = (support.num_cities, support.num_venues);
         let mut dense_slot = vec![SPARSE; num_cities];
         let mut dense_rows = 0u32;
-        for (l, &len) in row_lens.iter().enumerate() {
-            if len * DENSE_DENOMINATOR > num_venues * DENSE_NUMERATOR && num_venues > 0 {
-                dense_slot[l] = dense_rows;
+        let mut offsets = Vec::with_capacity(num_cities + 1);
+        offsets.push(0u32);
+        let mut keys = Vec::new();
+        for (l, slot) in dense_slot.iter_mut().enumerate() {
+            let words = support.row(l);
+            let len: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+            if len * DENSE_DENOMINATOR > num_venues * DENSE_NUMERATOR {
+                *slot = dense_rows;
                 dense_rows += 1;
+            } else {
+                for (w, &bits) in words.iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        keys.push((w * 64) as u32 + bits.trailing_zeros());
+                        bits &= bits - 1;
+                    }
+                }
             }
+            offsets.push(keys.len() as u32);
         }
-
-        let keys = Csr::from_rows((0..num_cities).map(|l| {
-            if dense_slot[l] != SPARSE {
-                return Vec::new();
-            }
-            // `pairs` is sorted by (city, venue): the city's slice is
-            // contiguous and its venue ids already ascend.
-            let start = pairs.partition_point(|&(c, _)| (c as usize) < l);
-            pairs[start..start + row_lens[l]].iter().map(|&(_, v)| v).collect()
-        }));
+        let keys = Csr::from_parts(offsets, keys);
         let counts = vec![0u32; keys.num_values()];
         let dense = vec![0u32; dense_rows as usize * num_venues];
         Self { keys, counts, dense_slot, dense, totals: vec![0; num_cities], num_venues }
@@ -294,9 +330,11 @@ mod tests {
         // City 0: small support {2, 5, 9} of 64 venues (3/64 ≤ 1/16 —
         // sparse). City 1: support {0..=9} (10/64 > 1/16 — dense
         // fallback). City 2: empty support.
-        let mut support = vec![(0u32, 2u32), (0, 5), (0, 9), (0, 5)];
-        support.extend((0..10).map(|v| (1u32, v)));
-        VenueCountStore::build(3, 64, support.into_iter())
+        let mut support = VenueSupport::new(3, 64);
+        for (l, v) in [(0, 2), (0, 5), (0, 9), (0, 5)].into_iter().chain((0..10).map(|v| (1, v))) {
+            support.mark(CityId(l), VenueId(v));
+        }
+        VenueCountStore::build(&support)
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! batched run is bit-identical to the sequential one (pinned by the
 //! warm-start determinism suite).
 
+use crate::candidacy::popular_cities;
 use crate::config::MlpConfig;
 use crate::kernel::{self, CountView, Endpoint, ProfileView, SamplerView};
 use crate::parallel::chunk_ranges;
@@ -386,7 +387,8 @@ pub(crate) struct DerivedParts {
     pub(crate) random: RandomModels,
     /// Hyper-parameters reassembled for the kernel's `SamplerView`.
     pub(crate) mlp_config: MlpConfig,
-    /// Fallback candidates for signal-free users: most populous cities.
+    /// Fallback candidates for signal-free users: the most populous
+    /// cities, sorted by id.
     pub(crate) popular: Vec<CityId>,
     /// `d^α` per city pair for the snapshot's power law. The first
     /// fold-in builds it; every clone (each epoch, commit and checkpoint
@@ -400,9 +402,6 @@ impl DerivedParts {
         gaz: &Gazetteer,
         fallback_popular_k: usize,
     ) -> Self {
-        let mut by_pop: Vec<CityId> = (0..gaz.num_cities() as u32).map(CityId).collect();
-        by_pop.sort_by_key(|&c| std::cmp::Reverse(gaz.city(c).population));
-        by_pop.truncate(fallback_popular_k.max(1));
         Self {
             random: RandomModels::from_frozen(snap.follow_prob, snap.venue_probs.clone()),
             mlp_config: MlpConfig {
@@ -416,7 +415,7 @@ impl DerivedParts {
                 fit_power_law_from_data: false,
                 ..Default::default()
             },
-            popular: by_pop,
+            popular: popular_cities(gaz, fallback_popular_k),
             kernel: Arc::default(),
         }
     }
@@ -606,7 +605,6 @@ impl<'a> FoldInEngine<'a> {
         candidates.dedup();
         if candidates.is_empty() {
             candidates = self.parts.popular.clone();
-            candidates.sort_unstable();
         }
         if candidates.is_empty() {
             return Err(FoldInError::NoCandidates);
@@ -657,22 +655,14 @@ impl<'a> FoldInEngine<'a> {
         // transplanted): the candidate maximising aggregate distance
         // log-likelihood to the anchors plus a venue-resolution bonus.
         let mode = {
-            let mut scores = vec![0.0f64; profiles.candidates.len()];
-            let mut has_signal = false;
+            let cands = &profiles.candidates;
+            let mut scores = vec![0.0f64; cands.len()];
+            let mut has_signal = !anchors.is_empty();
             for a in &anchors {
-                has_signal = true;
-                let row = kernel.row(a.city.index());
-                for (c, &city) in profiles.candidates.iter().enumerate() {
-                    scores[c] += row[city.index()].ln();
-                }
+                kernel::score_anchor(kernel, a.city, cands, &mut scores);
             }
             for &v in mentions {
-                for &city in self.gaz.resolve_venue(v) {
-                    if let Ok(c) = profiles.candidates.binary_search(&city) {
-                        has_signal = true;
-                        scores[c] -= kernel.get(city.index(), city.index()).ln() - 0.5;
-                    }
-                }
+                has_signal |= kernel::score_venue(self.gaz, kernel, v, cands, &mut scores);
             }
             kernel::init_mode(None, has_signal, &scores)
         };

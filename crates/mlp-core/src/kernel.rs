@@ -13,10 +13,10 @@
 //!
 //! The draws are written once too: `edge_step` makes a following
 //! relationship's draws (`μ_s`, then `x_s`, then `y_s`) and `mention_step`
-//! a tweeting relationship's (`ν_k`, then `z_k`); `init_mode` and
-//! `init_position` pick and draw the mode-biased initial assignment every
-//! chain starts from. Each chain driver calls these and owns only its
-//! count bookkeeping and RNG streams:
+//! a tweeting relationship's (`ν_k`, then `z_k`); `score_anchor` /
+//! `score_venue` score, `init_mode` picks and `init_position` draws the
+//! mode-biased initial assignment every chain starts from. Each chain
+//! driver calls these and owns only its count bookkeeping and RNG streams:
 //!
 //! * the sequential sweep ([`crate::sampler`]) excludes the relationship by
 //!   decrementing the live [`SamplerState`], then adds the new draw back;
@@ -45,7 +45,7 @@ use crate::state::SamplerState;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_geo::KernelMatrix;
 use mlp_sampling::{sample_categorical, Pcg64};
-use mlp_social::UserId;
+use mlp_social::{FollowEdge, TweetMention, UserId};
 
 /// Per-user candidate lists and priors as the kernel consumes them.
 ///
@@ -466,6 +466,93 @@ pub(crate) fn mention_step<P: ProfileView + ?Sized>(
     mention_position_weights(view, counts, i, (!nu).then_some(v), buf);
     let z = sample_categorical(rng, buf).expect("z weights are positive (γ > 0)");
     (nu, z)
+}
+
+/// Adds one labeled anchor's evidence to a user's initial-mode scores:
+/// `ln d(l, anchor)^α` at each candidate `l`.
+#[inline]
+pub(crate) fn score_anchor(
+    kernel: &KernelMatrix,
+    anchor: CityId,
+    candidates: &[CityId],
+    scores: &mut [f64],
+) {
+    let row = kernel.row(anchor.index());
+    for (score, &city) in scores.iter_mut().zip(candidates) {
+        *score += row[city.index()].ln();
+    }
+}
+
+/// Adds one mention's venue-resolution bonus to a user's initial-mode
+/// scores: each candidate `l` the venue resolves to gains `0.5 − ln k(l, l)`
+/// (the kernel at the 1-mile floor). Returns whether any `l` was one.
+#[inline]
+pub(crate) fn score_venue(
+    gaz: &Gazetteer,
+    kernel: &KernelMatrix,
+    v: VenueId,
+    candidates: &[CityId],
+    scores: &mut [f64],
+) -> bool {
+    let mut hit = false;
+    for &city in gaz.resolve_venue(v) {
+        if let Ok(c) = candidates.binary_search(&city) {
+            hit = true;
+            scores[c] -= kernel.get(city.index(), city.index()).ln() - 0.5;
+        }
+    }
+    hit
+}
+
+/// Initial-mode scores of every training user, flat in the candidacy's
+/// slot space. Both trainers feed it their relationships (each in its own
+/// order, which fixes the f64 sums) and read the modes off at the end.
+pub(crate) struct InitScores<'a> {
+    gaz: &'a Gazetteer,
+    candidacy: &'a Candidacy,
+    kernel: &'a KernelMatrix,
+    scores: Vec<f64>,
+    has_signal: Vec<bool>,
+}
+
+impl<'a> InitScores<'a> {
+    pub(crate) fn new(gaz: &'a Gazetteer, cand: &'a Candidacy, kernel: &'a KernelMatrix) -> Self {
+        let (scores, has_signal) = (vec![0.0; cand.num_slots()], vec![false; cand.num_users()]);
+        Self { gaz, candidacy: cand, kernel, scores, has_signal }
+    }
+
+    /// Scores each endpoint of a following relationship against the
+    /// other's label, follower first.
+    pub(crate) fn edge(&mut self, e: &FollowEdge, registered: &[Option<CityId>]) {
+        let cand = self.candidacy;
+        for (user, other) in [(e.follower, e.friend), (e.friend, e.follower)] {
+            if let Some(anchor) = registered[other.index()] {
+                self.has_signal[user.index()] = true;
+                let scores = &mut self.scores[cand.slots(user)];
+                score_anchor(self.kernel, anchor, cand.candidates(user), scores);
+            }
+        }
+    }
+
+    /// Scores a tweeting relationship's venue resolutions.
+    pub(crate) fn mention(&mut self, m: &TweetMention) {
+        let cand = self.candidacy;
+        let scores = &mut self.scores[cand.slots(m.user)];
+        let hit = score_venue(self.gaz, self.kernel, m.venue, cand.candidates(m.user), scores);
+        self.has_signal[m.user.index()] |= hit;
+    }
+
+    /// Every user's [`init_mode`].
+    pub(crate) fn modes(self, registered: &[Option<CityId>]) -> Vec<Option<u32>> {
+        (0..self.candidacy.num_users())
+            .map(|u| {
+                let user = UserId(u as u32);
+                let registered = registered[u].and_then(|reg| self.candidacy.position(user, reg));
+                let scores = &self.scores[self.candidacy.slots(user)];
+                init_mode(registered, self.has_signal[u], scores).map(|c| c as u32)
+            })
+            .collect()
+    }
 }
 
 /// A user's initial mode, given their scored candidates: the registered

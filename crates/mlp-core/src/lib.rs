@@ -82,7 +82,7 @@ pub mod wal;
 pub use candidacy::Candidacy;
 pub use coalesce::Coalescer;
 pub use config::{ConfigError, MlpConfig, Variant};
-pub use count_store::{VenueCountStore, VenueRow};
+pub use count_store::{VenueCountStore, VenueRow, VenueSupport};
 pub use diagnostics::{Diagnostics, IterationStats};
 pub use engine::{
     response_determinism_hash, CommitInfo, EngineBuilder, EngineError, ProfileRequest,
@@ -99,7 +99,7 @@ pub use kernel::{CountView, ProfileView, SamplerView};
 pub use model::{EdgeAssignment, MentionAssignment, Mlp, MlpResult};
 pub use online::{OnlineError, OnlineUpdater, StalenessPolicy};
 pub use random_models::RandomModels;
-pub use shard::{train_corpus, CandidateProfiles, ShardedTrainConfig, TrainError};
+pub use shard::{train_corpus, ShardedTrainConfig, TrainError};
 pub use snapshot::{
     gazetteer_fingerprint, inspect_artifact, ArtifactInfo, Integrity, PosteriorSnapshot,
     SectionInfo, SnapshotDelta, SnapshotError, UserArena, UserPosterior, UserView, VenueArena,

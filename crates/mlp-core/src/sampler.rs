@@ -12,7 +12,7 @@
 
 use crate::candidacy::Candidacy;
 use crate::config::MlpConfig;
-use crate::kernel::{self, SamplerView};
+use crate::kernel::{self, InitScores, SamplerView};
 use crate::random_models::RandomModels;
 use crate::state::SamplerState;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
@@ -84,16 +84,30 @@ impl<'a> GibbsSampler<'a> {
     /// log-likelihood against their labeled neighbors (plus a venue-
     /// resolution bonus), which is where the all-in posterior mode lives.
     fn init_assignments(&mut self) {
-        let modes = self.compute_init_modes();
+        let (uses_following, uses_tweeting) =
+            (self.config.variant.uses_following(), self.config.variant.uses_tweeting());
+        // Mode scores: every edge, then every mention.
+        let mut scores = InitScores::new(self.gaz, self.candidacy, &self.kernel);
+        if uses_following {
+            for e in &self.dataset.edges {
+                scores.edge(e, &self.dataset.registered);
+            }
+        }
+        if uses_tweeting {
+            for m in &self.dataset.mentions {
+                scores.mention(m);
+            }
+        }
+        let modes = scores.modes(&self.dataset.registered);
         let pos = |sampler: &mut Self, user: UserId| -> usize {
             let len = sampler.candidacy.candidates(user).len();
-            kernel::init_position(&mut sampler.rng, modes[user.index()], len)
+            kernel::init_position(&mut sampler.rng, modes[user.index()].map(|m| m as usize), len)
         };
         // Loops are gated by variant (not just skipped in the sweep) so the
         // RNG stream for one observation type is independent of the other's
         // presence — a TweetingOnly run must be bit-identical whether or not
         // the dataset carries edges.
-        if self.config.variant.uses_following() {
+        if uses_following {
             for s in 0..self.dataset.num_edges() {
                 let e = self.dataset.edges[s];
                 self.state.mu[s] = self.rng.bernoulli(self.config.rho_f);
@@ -101,7 +115,7 @@ impl<'a> GibbsSampler<'a> {
                 self.state.y[s] = pos(self, e.friend) as u16;
             }
         }
-        if self.config.variant.uses_tweeting() {
+        if uses_tweeting {
             for k in 0..self.dataset.num_mentions() {
                 let m = self.dataset.mentions[k];
                 self.state.nu[k] = self.rng.bernoulli(self.config.rho_t);
@@ -112,55 +126,9 @@ impl<'a> GibbsSampler<'a> {
             self.dataset,
             self.candidacy,
             self.config.count_noisy_assignments,
-            self.config.variant.uses_following(),
-            self.config.variant.uses_tweeting(),
+            uses_following,
+            uses_tweeting,
         );
-    }
-
-    /// Per-user initial mode: the registered city when labeled; otherwise
-    /// `argmax_l Σ_edges ln kernel(d(l, anchor)) + Σ_mentions resolution
-    /// bonus`, where anchors are the labeled cities of edge counterparts.
-    fn compute_init_modes(&self) -> Vec<Option<usize>> {
-        let n = self.dataset.num_users();
-        let mut scores: Vec<Vec<f64>> =
-            (0..n).map(|u| vec![0.0; self.candidacy.candidates(UserId(u as u32)).len()]).collect();
-        let mut has_signal = vec![false; n];
-        if self.config.variant.uses_following() {
-            for e in &self.dataset.edges {
-                for (user, other) in [(e.follower, e.friend), (e.friend, e.follower)] {
-                    if let Some(anchor) = self.dataset.registered[other.index()] {
-                        has_signal[user.index()] = true;
-                        let kernel = self.kernel.row(anchor.index());
-                        let cands = self.candidacy.candidates(user);
-                        for (c, &city) in cands.iter().enumerate() {
-                            scores[user.index()][c] += kernel[city.index()].ln();
-                        }
-                    }
-                }
-            }
-        }
-        if self.config.variant.uses_tweeting() {
-            // A candidate the venue resolves to gets the same bonus one
-            // nearby neighbor would contribute (the diagonal is the kernel
-            // at the 1-mile floor).
-            for m in &self.dataset.mentions {
-                for &city in self.gaz.resolve_venue(m.venue) {
-                    if let Some(c) = self.candidacy.position(m.user, city) {
-                        has_signal[m.user.index()] = true;
-                        scores[m.user.index()][c] -=
-                            self.kernel.get(city.index(), city.index()).ln() - 0.5;
-                    }
-                }
-            }
-        }
-        (0..n)
-            .map(|u| {
-                let user = UserId(u as u32);
-                let registered =
-                    self.dataset.registered[u].and_then(|reg| self.candidacy.position(user, reg));
-                kernel::init_mode(registered, has_signal[u], &scores[u])
-            })
-            .collect()
     }
 
     /// Sets the power law the chain samples under (the Gibbs-EM M-step)
@@ -316,16 +284,6 @@ impl<'a> GibbsSampler<'a> {
             }
         }
         ll
-    }
-
-    /// The per-user initial modes (diagnostic / ablation use).
-    pub fn init_modes_public(&self) -> Vec<Option<usize>> {
-        self.compute_init_modes()
-    }
-
-    /// Read access to the RNG for helpers that extend the sampler.
-    pub fn rng_mut(&mut self) -> &mut Pcg64 {
-        &mut self.rng
     }
 
     /// The gazetteer this sampler runs against.

@@ -7,11 +7,12 @@
 //! ([`mlp_social::stream::CorpusReader`]) instead, with the paper's model
 //! state *sharded by user partition*:
 //!
-//! * **Resident globally** (the part that must be shared): the candidate
-//!   lists and priors `γ` (CSR slabs), the collapsed user counts `ϕ` and
-//!   their post-burn-in accumulators (flat `u32` arenas in the CSR slot
-//!   space), and the venue counts `φ` ([`VenueCountStore`]). This is
-//!   O(users · mean-candidates + support) — the irreducible model state.
+//! * **Resident globally** (the part that must be shared): the
+//!   [`Candidacy`] (built chunk by chunk through the in-memory path's
+//!   builder), the collapsed user counts `ϕ` and their post-burn-in
+//!   accumulators (flat `u32` arenas in its slot space), and the venue
+//!   counts `φ` ([`VenueCountStore`]). This is O(users · mean-candidates +
+//!   support) — the irreducible model state.
 //! * **Resident per shard, one shard at a time**: the shard's corpus
 //!   chunks (re-streamed from disk every super-sweep) and its assignment
 //!   vectors (μ/x/y/ν/z), spilled to scratch files between super-sweeps.
@@ -43,9 +44,10 @@
 //! shards, reconcile_every)`: every RNG stream is derived from the seed,
 //! the shard schedule is deterministic, and all reductions are integer.
 
+use crate::candidacy::{Candidacy, CandidacyBuilder};
 use crate::config::MlpConfig;
-use crate::count_store::VenueCountStore;
-use crate::kernel::{self, CountView, EdgeExcluded, MentionExcluded, ProfileView, SamplerView};
+use crate::count_store::{VenueCountStore, VenueSupport};
+use crate::kernel::{self, CountView, EdgeExcluded, InitScores, MentionExcluded, SamplerView};
 use crate::model::Mlp;
 use crate::parallel::chunk_ranges;
 use crate::random_models::RandomModels;
@@ -56,7 +58,7 @@ use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_geo::KernelMatrix;
 use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::stream::{CorpusChunk, CorpusError, CorpusReader};
-use mlp_social::{Csr, UserId};
+use mlp_social::UserId;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -169,68 +171,6 @@ pub fn train_corpus(
 }
 
 // ---------------------------------------------------------------------------
-// Candidate profiles as CSR slabs
-// ---------------------------------------------------------------------------
-
-/// CSR-backed candidate lists and priors for every corpus user — the
-/// out-of-core analogue of [`crate::candidacy::Candidacy`], built from
-/// streaming passes and fed to the kernel through [`ProfileView`].
-pub struct CandidateProfiles {
-    candidates: Csr<CityId>,
-    gammas: Csr<f64>,
-    gamma_totals: Vec<f64>,
-}
-
-impl CandidateProfiles {
-    /// Index of `city` inside user `u`'s candidate list, if present.
-    #[inline]
-    fn position(&self, u: UserId, city: CityId) -> Option<usize> {
-        self.candidates.row(u.index()).binary_search(&city).ok()
-    }
-
-    /// Flat slot of `(u, c)` in the candidate slot space — shared by the
-    /// count, accumulator, and delta arenas.
-    #[inline]
-    fn slot(&self, u: UserId, c: usize) -> usize {
-        self.candidates.offsets()[u.index()] as usize + c
-    }
-
-    /// Total candidate entries (the slot-space size).
-    fn num_slots(&self) -> usize {
-        self.candidates.num_values()
-    }
-
-    fn num_users(&self) -> usize {
-        self.candidates.num_rows()
-    }
-
-    /// Mean candidate-list length (the Sec. 4.3 pruning factor).
-    pub fn mean_candidates(&self) -> f64 {
-        if self.num_users() == 0 {
-            return 0.0;
-        }
-        self.num_slots() as f64 / self.num_users() as f64
-    }
-}
-
-impl ProfileView for CandidateProfiles {
-    #[inline]
-    fn candidates(&self, u: UserId) -> &[CityId] {
-        self.candidates.row(u.index())
-    }
-
-    #[inline]
-    fn gammas(&self, u: UserId) -> &[f64] {
-        self.gammas.row(u.index())
-    }
-
-    #[inline]
-    fn gamma_total(&self, u: UserId) -> f64 {
-        self.gamma_totals[u.index()]
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The shard count view
 // ---------------------------------------------------------------------------
 
@@ -238,7 +178,7 @@ impl ProfileView for CandidateProfiles {
 /// global counts plus the shard's own delta slab (its updates are live to
 /// itself, stale to everyone else), and its working `φ` clone.
 struct ShardCounts<'a> {
-    profiles: &'a CandidateProfiles,
+    candidacy: &'a Candidacy,
     frozen: &'a [u32],
     frozen_totals: &'a [u32],
     delta: Vec<i32>,
@@ -250,7 +190,7 @@ impl ShardCounts<'_> {
     /// Adds `by` to user `u`'s count at candidate index `c` in the delta.
     #[inline]
     fn add_user(&mut self, u: UserId, c: usize, by: i32) {
-        self.delta[self.profiles.slot(u, c)] += by;
+        self.delta[self.candidacy.slot(u, c)] += by;
         self.delta_totals[u.index()] += by;
     }
 }
@@ -258,7 +198,7 @@ impl ShardCounts<'_> {
 impl CountView for ShardCounts<'_> {
     #[inline]
     fn user_count(&self, u: UserId, c: usize) -> f64 {
-        let s = self.profiles.slot(u, c);
+        let s = self.candidacy.slot(u, c);
         (self.frozen[s] as i64 + self.delta[s] as i64) as f64
     }
 
@@ -350,7 +290,7 @@ struct ShardedTrainer<'g, 'r> {
     shards: Vec<Range<usize>>,
     reconcile_every: usize,
     scratch: PathBuf,
-    profiles: CandidateProfiles,
+    candidacy: Candidacy,
     random: RandomModels,
     /// `d^α` per city pair for the (possibly data-fitted) power law.
     kernel: KernelMatrix,
@@ -401,74 +341,25 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         }
         let random = RandomModels::from_stream_stats(n as u64, num_edges, venue_mentions);
 
-        // Pass 2: candidate sets (dedup on insert) + labeled city-pair
-        // counts for the power-law fit. Mirrors `Candidacy::build` and
-        // `fit_power_law_from_labels` rule for rule.
-        let mut cand_sets: Vec<Vec<CityId>> = vec![Vec::new(); n];
-        let insert = |sets: &mut Vec<Vec<CityId>>, u: UserId, c: CityId| {
-            let set = &mut sets[u.index()];
-            if let Err(pos) = set.binary_search(&c) {
-                set.insert(pos, c);
-            }
-        };
+        // Pass 2: candidacy + labeled city-pair counts for the power-law
+        // fit.
+        let mut builder = CandidacyBuilder::new(n, config);
         let mut pair_counts: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         for chunk in reader.chunks() {
             let chunk = chunk?;
-            for (u, &reg) in chunk.user_range().zip(&chunk.registered) {
-                if let Some(c) = reg {
-                    insert(&mut cand_sets, UserId(u), c);
+            for e in &chunk.edges {
+                builder.observe_edge(e, &registered);
+                if let (Some(a), Some(b)) =
+                    (registered[e.follower.index()], registered[e.friend.index()])
+                {
+                    *pair_counts.entry((a.0, b.0)).or_insert(0) += 1;
                 }
             }
-            if config.variant.uses_following() {
-                for e in &chunk.edges {
-                    if let Some(c) = registered[e.friend.index()] {
-                        insert(&mut cand_sets, e.follower, c);
-                    }
-                    if let Some(c) = registered[e.follower.index()] {
-                        insert(&mut cand_sets, e.friend, c);
-                    }
-                    if let (Some(a), Some(b)) =
-                        (registered[e.follower.index()], registered[e.friend.index()])
-                    {
-                        *pair_counts.entry((a.0, b.0)).or_insert(0) += 1;
-                    }
-                }
-            }
-            if config.variant.uses_tweeting() {
-                for m in &chunk.mentions {
-                    for &c in gaz.resolve_venue(m.venue) {
-                        insert(&mut cand_sets, m.user, c);
-                    }
-                }
+            for m in &chunk.mentions {
+                builder.observe_mention(gaz, m);
             }
         }
-        // Fallback pool for signal-free users (already sorted sets).
-        let mut by_pop: Vec<CityId> = (0..gaz.num_cities() as u32).map(CityId).collect();
-        by_pop.sort_by_key(|&c| std::cmp::Reverse(gaz.city(c).population));
-        by_pop.truncate(config.fallback_popular_k.max(1));
-        let mut fallback = by_pop;
-        fallback.sort_unstable();
-        for set in &mut cand_sets {
-            if set.is_empty() {
-                *set = fallback.clone();
-            }
-        }
-        let candidates = Csr::from_rows(cand_sets.into_iter());
-
-        // Priors: γ_{i,l} = τ·λ_{i,l} + boost·η_{i,l}.
-        let mut gamma_totals = Vec::with_capacity(n);
-        let gammas = Csr::from_rows((0..n).map(|u| {
-            let cands = candidates.row(u);
-            let mut g = vec![config.tau; cands.len()];
-            if let Some(home) = registered[u] {
-                if let Ok(pos) = cands.binary_search(&home) {
-                    g[pos] += config.supervision_boost;
-                }
-            }
-            gamma_totals.push(g.iter().sum::<f64>());
-            g
-        }));
-        let profiles = CandidateProfiles { candidates, gammas, gamma_totals };
+        let candidacy = builder.finish(gaz, &registered, config);
 
         // Power law: same histogram fit as the in-memory path, with the
         // labeled-pair distances replayed from the compact pair counts.
@@ -487,70 +378,31 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         }
         let kernel = KernelMatrix::build(gaz.distances(), config.power_law);
 
-        // Pass 3: venue support bitmap + init-mode scores (one pass; both
-        // need the finished candidate sets).
-        let words_per_city = gaz.num_venues().div_ceil(64);
-        let mut support_bits = vec![0u64; gaz.num_cities() * words_per_city];
-        let mut scores = vec![0.0f64; profiles.num_slots()];
-        let mut has_signal = vec![false; n];
+        // Pass 3: venue support + init modes (both need the finished
+        // candidacy), per chunk mentions then edges.
+        let mut support = VenueSupport::new(gaz.num_cities(), gaz.num_venues());
+        let mut scores = InitScores::new(gaz, &candidacy, &kernel);
         for chunk in reader.chunks() {
             let chunk = chunk?;
             if config.variant.uses_tweeting() {
                 for m in &chunk.mentions {
-                    for &c in profiles.candidates(m.user) {
-                        support_bits[c.index() * words_per_city + m.venue.index() / 64] |=
-                            1u64 << (m.venue.index() % 64);
-                    }
-                    // Venue-resolution bonus of `compute_init_modes`.
-                    for &city in gaz.resolve_venue(m.venue) {
-                        if let Some(c) = profiles.position(m.user, city) {
-                            has_signal[m.user.index()] = true;
-                            scores[profiles.slot(m.user, c)] -=
-                                kernel.get(city.index(), city.index()).ln() - 0.5;
-                        }
-                    }
+                    support.mark_mention(candidacy.candidates(m.user), m.venue);
+                    scores.mention(m);
                 }
             }
             if config.variant.uses_following() {
                 for e in &chunk.edges {
-                    for (user, other) in [(e.follower, e.friend), (e.friend, e.follower)] {
-                        if let Some(anchor) = registered[other.index()] {
-                            has_signal[user.index()] = true;
-                            let base = profiles.slot(user, 0);
-                            let row = kernel.row(anchor.index());
-                            for (c, &city) in profiles.candidates(user).iter().enumerate() {
-                                scores[base + c] += row[city.index()].ln();
-                            }
-                        }
-                    }
+                    scores.edge(e, &registered);
                 }
             }
         }
-        let venues = VenueCountStore::build(
-            gaz.num_cities(),
-            gaz.num_venues(),
-            (0..gaz.num_cities()).flat_map(|l| {
-                let words = &support_bits[l * words_per_city..(l + 1) * words_per_city];
-                words.iter().enumerate().flat_map(move |(w, &bits)| {
-                    (0..64)
-                        .filter(move |b| bits & (1 << b) != 0)
-                        .map(move |b| (l as u32, (w * 64 + b) as u32))
-                })
-            }),
-        );
+        let venues = VenueCountStore::build(&support);
+        // Allocated before the scores are freed: that free raises glibc's mmap
+        // threshold and would pin these arenas on the heap (+10–20 MiB peak).
+        let num_slots = candidacy.num_slots();
+        let (counts, acc) = (vec![0; num_slots], vec![0; num_slots]);
+        let modes = scores.modes(&registered);
 
-        // Init modes, resolved exactly as the in-memory sampler's are.
-        let modes: Vec<Option<u32>> = (0..n)
-            .map(|u| {
-                let user = UserId(u as u32);
-                let registered = registered[u].and_then(|reg| profiles.position(user, reg));
-                let base = profiles.slot(user, 0);
-                let scores = &scores[base..base + profiles.candidates(user).len()];
-                kernel::init_mode(registered, has_signal[u], scores).map(|c| c as u32)
-            })
-            .collect();
-
-        let num_slots = profiles.num_slots();
         Ok(Self {
             gaz,
             reader,
@@ -558,14 +410,14 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             shards,
             reconcile_every: shard_cfg.reconcile_every.max(1),
             scratch,
-            profiles,
+            candidacy,
             random,
             kernel,
             modes,
-            counts: vec![0; num_slots],
+            counts,
             totals: vec![0; n],
             venues,
-            acc: vec![0; num_slots],
+            acc,
             acc_samples: 0,
         })
     }
@@ -585,7 +437,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         for ci in self.shards[shard].clone() {
             let chunk = self.reader.read_chunk(ci)?;
             let pos = |rng: &mut Pcg64, user: UserId, modes: &[Option<u32>]| -> usize {
-                let len = self.profiles.candidates(user).len();
+                let len = self.candidacy.candidates(user).len();
                 kernel::init_position(rng, modes[user.index()].map(|m| m as usize), len)
             };
             if self.config.variant.uses_following() {
@@ -594,8 +446,8 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                     let x = pos(&mut rng, e.follower, &self.modes);
                     let y = pos(&mut rng, e.friend, &self.modes);
                     if !mu || count_noisy {
-                        self.counts[self.profiles.slot(e.follower, x)] += 1;
-                        self.counts[self.profiles.slot(e.friend, y)] += 1;
+                        self.counts[self.candidacy.slot(e.follower, x)] += 1;
+                        self.counts[self.candidacy.slot(e.friend, y)] += 1;
                         self.totals[e.follower.index()] += 1;
                         self.totals[e.friend.index()] += 1;
                     }
@@ -613,11 +465,11 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                     let nu = rng.bernoulli(self.config.rho_t);
                     let z = pos(&mut rng, m.user, &self.modes);
                     if !nu || count_noisy {
-                        self.counts[self.profiles.slot(m.user, z)] += 1;
+                        self.counts[self.candidacy.slot(m.user, z)] += 1;
                         self.totals[m.user.index()] += 1;
                     }
                     if !nu {
-                        self.venues.add(self.profiles.candidates(m.user)[z], m.venue);
+                        self.venues.add(self.candidacy.candidates(m.user)[z], m.venue);
                     }
                     asg.nu.push(nu);
                     asg.z.push(z as u16);
@@ -651,16 +503,16 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         let mut asg = ShardAssignments::decode(&std::fs::read(self.spill_path(shard))?)?;
 
         let mut counts = ShardCounts {
-            profiles: &self.profiles,
+            candidacy: &self.candidacy,
             frozen,
             frozen_totals,
-            delta: vec![0; self.profiles.num_slots()],
-            delta_totals: vec![0; self.profiles.num_users()],
+            delta: vec![0; self.candidacy.num_slots()],
+            delta_totals: vec![0; self.candidacy.num_users()],
             venues: frozen_venues.clone(),
         };
-        let view = SamplerView::<CandidateProfiles> {
+        let view = SamplerView {
             gaz: self.gaz,
-            candidacy: &self.profiles,
+            candidacy: &self.candidacy,
             random: &self.random,
             config: &self.config,
             kernel: &self.kernel,
@@ -710,7 +562,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                 let mentions = if uses_tweeting { chunk.mentions.as_slice() } else { &[] };
                 for (k, m) in (ks..).zip(mentions) {
                     let (i, v) = (m.user, m.venue);
-                    let ci = self.profiles.candidates(i);
+                    let ci = self.candidacy.candidates(i);
                     let (old_nu, old_z) = (asg.nu[k], asg.z[k] as usize);
                     let counted = !old_nu || count_noisy;
                     let old_city = ci[old_z];
@@ -792,7 +644,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
     /// Mean post-burn-in count for `(u, c)` — live counts when no sample
     /// was accumulated yet (same fallback as `SamplerState`).
     fn mean_count(&self, u: UserId, c: usize) -> f64 {
-        let s = self.profiles.slot(u, c);
+        let s = self.candidacy.slot(u, c);
         if self.acc_samples == 0 {
             self.counts[s] as f64
         } else {
@@ -803,12 +655,12 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
     /// Freezes the trained posterior — field for field what
     /// [`PosteriorSnapshot::freeze`] extracts from a trained sampler.
     fn freeze(&self) -> PosteriorSnapshot {
-        let n = self.profiles.num_users();
+        let n = self.candidacy.num_users();
         let users = UserArena::from_users((0..n).map(|u| {
             let user = UserId(u as u32);
-            let candidates = self.profiles.candidates(user).to_vec();
-            let gammas = self.profiles.gammas(user).to_vec();
-            let gamma_total = self.profiles.gamma_total(user);
+            let candidates = self.candidacy.candidates(user).to_vec();
+            let gammas = self.candidacy.gammas(user).to_vec();
+            let gamma_total = self.candidacy.gamma_total(user);
             let mean_counts: Vec<f64> =
                 (0..candidates.len()).map(|c| self.mean_count(user, c)).collect();
             let mean_total: f64 = mean_counts.iter().sum();

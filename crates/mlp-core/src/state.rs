@@ -15,16 +15,17 @@
 //! Counts are columnar: the `ϕ` rows live in one flat row-major [`Csr`]
 //! arena (one slab for the whole corpus, not a `Vec` per user), and the
 //! `φ` rows in a [`VenueCountStore`] — a CSR over the fixed support of
-//! reachable `(city, venue)` pairs. Both give the hot path contiguous
-//! memory, deterministic venue-id-ordered row iteration without sorting or
-//! allocating, and a stable flat *slot* space so a parallel sweep can merge
-//! per-thread deltas by index ([`crate::parallel`]).
+//! reachable `(city, venue)` pairs, read from a [`VenueSupport`] bitmap
+//! marked once per mention. Both give the hot path contiguous memory,
+//! deterministic venue-id-ordered row iteration without sorting or
+//! allocating, and a stable flat *slot* space so a parallel sweep can
+//! merge per-thread deltas by index ([`crate::parallel`]).
 //!
 //! Post-burn-in sweeps are accumulated separately so the final `θ̂` (Eq. 10)
 //! averages over the posterior instead of trusting one sample.
 
 use crate::candidacy::Candidacy;
-use crate::count_store::{VenueCountStore, VenueRow};
+use crate::count_store::{VenueCountStore, VenueRow, VenueSupport};
 use mlp_gazetteer::{CityId, VenueId};
 use mlp_social::{Csr, Dataset, UserId};
 
@@ -61,10 +62,9 @@ impl SamplerState {
     /// candidate index 0 and are expected to be randomised by the sampler's
     /// `init` before the first sweep.
     ///
-    /// The venue-count support is derived here: a mention of venue `v` by
-    /// user `i` can only ever be assigned to a city in `i`'s candidate
-    /// list, so `(candidate, v)` pairs over all mentions cover every cell
-    /// the sampler can touch.
+    /// The venue-count support is marked here: every mention's venue at
+    /// each of its user's candidates covers every cell the sampler can
+    /// touch.
     pub fn new(
         dataset: &Dataset,
         candidacy: &Candidacy,
@@ -73,9 +73,10 @@ impl SamplerState {
     ) -> Self {
         let n = dataset.num_users();
         let row_lens = || (0..n).map(|u| candidacy.candidates(UserId(u as u32)).len());
-        let support = dataset.mentions.iter().flat_map(|m| {
-            candidacy.candidates(m.user).iter().map(move |&city| (city.0, m.venue.0))
-        });
+        let mut support = VenueSupport::new(num_cities, num_venues);
+        for m in &dataset.mentions {
+            support.mark_mention(candidacy.candidates(m.user), m.venue);
+        }
         Self {
             mu: vec![false; dataset.num_edges()],
             x: vec![0; dataset.num_edges()],
@@ -84,7 +85,7 @@ impl SamplerState {
             z: vec![0; dataset.num_mentions()],
             user_counts: Csr::with_row_lens(row_lens()),
             user_totals: vec![0; n],
-            venue_counts: VenueCountStore::build(num_cities, num_venues, support),
+            venue_counts: VenueCountStore::build(&support),
             acc_user_counts: Csr::with_row_lens(row_lens()),
             acc_sweeps: 0,
         }
@@ -94,12 +95,6 @@ impl SamplerState {
     #[inline]
     pub fn user_count(&self, u: UserId, c: usize) -> u32 {
         self.user_counts.row(u.index())[c]
-    }
-
-    /// The whole ϕ row of user `u`.
-    #[inline]
-    pub fn user_count_row(&self, u: UserId) -> &[u32] {
-        self.user_counts.row(u.index())
     }
 
     /// Σ_l ϕ_{u,l}.

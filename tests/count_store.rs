@@ -8,11 +8,21 @@
 //! every step — so a layout bug (dense-threshold edge, binary-search
 //! off-by-one, slot aliasing) cannot hide behind the sampler's statistics.
 
-use mlp::core::count_store::VenueCountStore;
+use mlp::core::count_store::{VenueCountStore, VenueSupport};
 use mlp::gazetteer::{CityId, VenueId};
 use mlp::social::Csr;
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// Marks every `(city, venue)` pair of `support` (repeats included) in a
+/// support bitmap and builds the store over it.
+fn build_store(num_cities: u32, num_venues: u32, support: &[(u32, u32)]) -> VenueCountStore {
+    let mut marked = VenueSupport::new(num_cities as usize, num_venues as usize);
+    for &(l, v) in support {
+        marked.mark(CityId(l), VenueId(v));
+    }
+    VenueCountStore::build(&marked)
+}
 
 /// Ops are `(support index, kind)` with kind 0 = add one token, 1 = remove
 /// one token (removals are skipped when the oracle holds no count there —
@@ -21,8 +31,9 @@ type Ops = Vec<(usize, u8)>;
 
 fn arb_ops() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32)>, Ops)> {
     // Small vocabularies force the dense fallback; larger ones stay
-    // sparse — both paths get exercised across cases.
-    (1u32..8, 1u32..40).prop_flat_map(|(num_cities, num_venues)| {
+    // sparse — both paths get exercised across cases — and vocabularies
+    // past 64 spread a city's support bits over several words.
+    (1u32..8, 1u32..160).prop_flat_map(|(num_cities, num_venues)| {
         let support = prop::collection::vec((0..num_cities, 0..num_venues), 1..60);
         let ops = prop::collection::vec((0usize..1000, 0u8..2), 0..200);
         (Just(num_cities), Just(num_venues), support, ops)
@@ -39,8 +50,22 @@ proptest! {
     fn venue_store_matches_hashmap_oracle(
         (num_cities, num_venues, support, ops) in arb_ops()
     ) {
-        let mut store =
-            VenueCountStore::build(num_cities as usize, num_venues as usize, support.iter().copied());
+        let mut store = build_store(num_cities, num_venues, &support);
+
+        // The slot space matches the de-duplicated support: the distinct
+        // pairs of each sparse city, plus |V| for each city whose distinct
+        // support exceeds |V| / 16 (the dense threshold).
+        let mut distinct = support.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let expect_slots: usize = (0..num_cities)
+            .map(|l| {
+                let len = distinct.iter().filter(|&&(cl, _)| cl == l).count();
+                if len * 16 > num_venues as usize { num_venues as usize } else { len }
+            })
+            .sum();
+        prop_assert_eq!(store.num_slots(), expect_slots, "slot space vs de-duplicated support");
+
         let mut oracle: HashMap<(u32, u32), u32> = HashMap::new();
         let mut oracle_totals: HashMap<u32, u32> = HashMap::new();
 
@@ -108,11 +133,7 @@ proptest! {
             .into_iter()
             .map(|(l, v)| (l % num_cities, v % num_venues))
             .collect();
-        let store = VenueCountStore::build(
-            num_cities as usize,
-            num_venues as usize,
-            support.iter().copied(),
-        );
+        let store = build_store(num_cities, num_venues, &support);
         // The dense-threshold claim itself: every supported city is dense,
         // so the slot space is exactly (dense cities) × |V|.
         let mut supported: Vec<u32> = support.iter().map(|&(l, _)| l).collect();

@@ -120,3 +120,32 @@ fn sharded_home_accuracy_matches_single_shard_within_tolerance() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The sharded trainer builds its candidacy through the same builder as
+/// the in-memory path: for every variant and with pruning switched off,
+/// each user's candidate list and γ row, and the fitted power law, equal
+/// the one-shard (in-memory) result.
+#[test]
+fn sharded_candidacy_matches_single_shard_for_every_variant() {
+    let dir = tmp_dir("candidacy");
+    let gaz = write_corpus(&dir, 120, 40, 13);
+    let configs = [
+        ("default", MlpConfig::default()),
+        ("no pruning", MlpConfig { candidacy_pruning: false, ..Default::default() }),
+        ("following only", MlpConfig::following_only()),
+        ("tweeting only", MlpConfig::tweeting_only()),
+    ];
+    for (name, base) in configs {
+        let config = MlpConfig { iterations: 2, burn_in: 1, seed: 13, ..base };
+        let one = train_corpus(&gaz, &dir, &config, &sharding(1, 2)).unwrap();
+        let two = train_corpus(&gaz, &dir, &config, &sharding(2, 2)).unwrap();
+        assert_eq!(one.num_users(), two.num_users(), "{name}");
+        for u in 0..one.num_users() as u32 {
+            let u = UserId(u);
+            assert_eq!(one.users.candidates_of(u), two.users.candidates_of(u), "{name}: user {u}");
+            assert_eq!(one.users.gammas_of(u), two.users.gammas_of(u), "{name}: user {u}");
+        }
+        assert_eq!(one.power_law, two.power_law, "{name}: fitted power law");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
