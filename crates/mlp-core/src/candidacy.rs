@@ -107,6 +107,14 @@ impl Candidacy {
         }
         self.num_slots() as f64 / self.num_users() as f64
     }
+
+    /// Fraction of users whose list contains `truth(u)` — the coverage
+    /// statistic of Sec. 4.3 (the paper reports 92%); 0 with no users.
+    pub fn coverage(&self, truth: impl Fn(UserId) -> CityId) -> f64 {
+        let n = self.num_users();
+        let hits = (0..n as u32).map(UserId).filter(|&u| self.position(u, truth(u)).is_some());
+        hits.count() as f64 / n.max(1) as f64
+    }
 }
 
 /// Collects candidacy evidence relationship by relationship, in any order,
@@ -354,6 +362,17 @@ mod tests {
         let config = MlpConfig::following_only();
         let cand = Candidacy::build(&g, &d, &adj, &config);
         assert_eq!(cand.candidates(UserId(2)).len(), config.fallback_popular_k);
+    }
+
+    #[test]
+    fn coverage_statistic() {
+        let g = gaz();
+        let d = fixture(&g);
+        let cand = Candidacy::build(&g, &d, &Adjacency::build(&d), &MlpConfig::default());
+        // Truth: everyone lives in Austin. Users 0 and 1 have it (own/friend
+        // label); users 2 and 3 do not.
+        let cov = cand.coverage(|_| g.city_by_name_state("austin", "TX").unwrap());
+        assert!((cov - 0.5).abs() < 1e-12, "coverage {cov}");
     }
 
     #[test]

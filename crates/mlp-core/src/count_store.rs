@@ -57,10 +57,12 @@ impl VenueSupport {
         Self { bits, words_per_city, num_cities, num_venues }
     }
 
-    /// Marks `(l, v)` as reachable.
+    /// Marks `(l, v)` as reachable. Panics on a venue outside the
+    /// vocabulary: its bit would land in the row's padding or in the next
+    /// city's row.
     #[inline]
     pub fn mark(&mut self, l: CityId, v: VenueId) {
-        debug_assert!(v.index() < self.num_venues, "venue outside the vocabulary");
+        assert!(v.index() < self.num_venues, "venue outside the vocabulary");
         self.bits[l.index() * self.words_per_city + v.index() / 64] |= 1 << (v.index() % 64);
     }
 
@@ -237,15 +239,9 @@ impl VenueCountStore {
         debug_assert_eq!(slots.len(), self.num_slots());
         debug_assert_eq!(totals.len(), self.totals.len());
         let (sparse, dense) = slots.split_at(self.counts.len());
-        for (c, &d) in self.counts.iter_mut().zip(sparse) {
-            *c = c.wrapping_add_signed(d);
-        }
-        for (c, &d) in self.dense.iter_mut().zip(dense) {
-            *c = c.wrapping_add_signed(d);
-        }
-        for (t, &d) in self.totals.iter_mut().zip(totals) {
-            *t = t.wrapping_add_signed(d);
-        }
+        add_deltas(&mut self.counts, sparse);
+        add_deltas(&mut self.dense, dense);
+        add_deltas(&mut self.totals, totals);
     }
 
     /// Merges the difference `after − before` into this store — the
@@ -283,6 +279,13 @@ impl VenueCountStore {
             _ if v.index() >= self.num_venues => None,
             slot => Some(Slot::Dense(slot as usize * self.num_venues + v.index())),
         }
+    }
+}
+
+/// Adds signed per-slot `deltas` to `counts`, index by index.
+pub(crate) fn add_deltas(counts: &mut [u32], deltas: &[i32]) {
+    for (c, &d) in counts.iter_mut().zip(deltas) {
+        *c = c.wrapping_add_signed(d);
     }
 }
 

@@ -46,14 +46,12 @@
 
 use crate::candidacy::{Candidacy, CandidacyBuilder};
 use crate::config::MlpConfig;
-use crate::count_store::{VenueCountStore, VenueSupport};
+use crate::count_store::{add_deltas, VenueCountStore, VenueSupport};
 use crate::kernel::{self, CountView, EdgeExcluded, InitScores, MentionExcluded, SamplerView};
 use crate::model::Mlp;
 use crate::parallel::chunk_ranges;
 use crate::random_models::RandomModels;
-use crate::snapshot::{
-    gazetteer_fingerprint, PosteriorSnapshot, UserArena, UserPosterior, VenueArena,
-};
+use crate::snapshot::{PosteriorSnapshot, UserArena, UserPosterior};
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_geo::KernelMatrix;
 use mlp_sampling::{Pcg64, SplitMix64};
@@ -591,12 +589,8 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
 
         // Reconciliation: flat index-wise merge of this shard's deltas
         // into the global arenas.
-        for (c, &d) in self.counts.iter_mut().zip(&counts.delta) {
-            *c = c.wrapping_add_signed(d);
-        }
-        for (t, &d) in self.totals.iter_mut().zip(&counts.delta_totals) {
-            *t = t.wrapping_add_signed(d);
-        }
+        add_deltas(&mut self.counts, &counts.delta);
+        add_deltas(&mut self.totals, &counts.delta_totals);
         self.venues.apply_diff(&counts.venues, frozen_venues);
 
         std::fs::write(self.spill_path(shard), asg.encode())?;
@@ -652,8 +646,9 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         }
     }
 
-    /// Freezes the trained posterior — field for field what
-    /// [`PosteriorSnapshot::freeze`] extracts from a trained sampler.
+    /// Freezes the trained posterior: the users' posteriors as
+    /// [`PosteriorSnapshot::freeze`] extracts them from a trained sampler,
+    /// then the same assembly.
     fn freeze(&self) -> PosteriorSnapshot {
         let n = self.candidacy.num_users();
         let users = UserArena::from_users((0..n).map(|u| {
@@ -678,29 +673,9 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             UserPosterior { home, gamma_total, candidates, gammas, mean_counts, mean_total }
         }));
 
-        let venues = VenueArena::from_rows(
-            (0..self.gaz.num_cities())
-                .map(|l| self.venues.row(CityId(l as u32)).map(|(v, c)| (v, c as f64))),
-        );
-
-        PosteriorSnapshot {
-            variant: self.config.variant,
-            count_noisy_assignments: self.config.count_noisy_assignments,
-            tau: self.config.tau,
-            delta: self.config.delta,
-            rho_f: self.config.rho_f,
-            rho_t: self.config.rho_t,
-            power_law: self.kernel.law(),
-            follow_prob: self.random.follow_prob(),
-            venue_probs: (0..self.gaz.num_venues())
-                .map(|v| self.random.venue_prob(VenueId(v as u32)))
-                .collect(),
-            num_cities: self.gaz.num_cities() as u32,
-            num_venues: self.gaz.num_venues() as u32,
-            gaz_fingerprint: gazetteer_fingerprint(self.gaz),
-            users,
-            venues,
-        }
+        let venue_row = |l| self.venues.row(l);
+        let law = self.kernel.law();
+        PosteriorSnapshot::assemble(self.gaz, &self.config, law, &self.random, users, venue_row)
     }
 }
 

@@ -24,7 +24,9 @@
 //! and answer fold-in queries against a shared read-only copy — no locks,
 //! no count merging, because frozen counts never mutate.
 
-use crate::config::Variant;
+use crate::config::{MlpConfig, Variant};
+use crate::count_store::VenueRow;
+use crate::random_models::RandomModels;
 use crate::sampler::GibbsSampler;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
@@ -957,14 +959,28 @@ impl PosteriorSnapshot {
             }
         }));
 
-        // The CSR state rows already iterate non-zero entries in venue-id
+        let venue_row = |l| sampler.state.venue_count_row(l);
+        let random = sampler.random_models();
+        Self::assemble(gaz, config, sampler.power_law, random, users, venue_row)
+    }
+
+    /// Assembles a trained chain's snapshot from its users' posteriors, its
+    /// `φ` rows, and the hyper-parameters, power law and random models it
+    /// ran under. Both trainers freeze through here.
+    pub(crate) fn assemble<'v>(
+        gaz: &Gazetteer,
+        config: &MlpConfig,
+        power_law: PowerLaw,
+        random: &RandomModels,
+        users: UserArena,
+        venue_row: impl Fn(CityId) -> VenueRow<'v>,
+    ) -> Self {
+        // The CSR store rows already iterate non-zero entries in venue-id
         // order, so the arena packs straight off the live store — no
         // intermediate maps, no sorting.
-        let venues =
-            VenueArena::from_rows((0..gaz.num_cities()).map(|l| {
-                sampler.state.venue_count_row(CityId(l as u32)).map(|(v, c)| (v, c as f64))
-            }));
-
+        let venues = VenueArena::from_rows(
+            (0..gaz.num_cities()).map(|l| venue_row(CityId(l as u32)).map(|(v, c)| (v, c as f64))),
+        );
         Self {
             variant: config.variant,
             count_noisy_assignments: config.count_noisy_assignments,
@@ -972,10 +988,10 @@ impl PosteriorSnapshot {
             delta: config.delta,
             rho_f: config.rho_f,
             rho_t: config.rho_t,
-            power_law: sampler.power_law,
-            follow_prob: sampler.random_models().follow_prob(),
+            power_law,
+            follow_prob: random.follow_prob(),
             venue_probs: (0..gaz.num_venues())
-                .map(|v| sampler.random_models().venue_prob(VenueId(v as u32)))
+                .map(|v| random.venue_prob(VenueId(v as u32)))
                 .collect(),
             num_cities: gaz.num_cities() as u32,
             num_venues: gaz.num_venues() as u32,

@@ -25,7 +25,7 @@
 //! averages over the posterior instead of trusting one sample.
 
 use crate::candidacy::Candidacy;
-use crate::count_store::{VenueCountStore, VenueRow, VenueSupport};
+use crate::count_store::{add_deltas, VenueCountStore, VenueRow, VenueSupport};
 use mlp_gazetteer::{CityId, VenueId};
 use mlp_social::{Csr, Dataset, UserId};
 
@@ -95,6 +95,12 @@ impl SamplerState {
     #[inline]
     pub fn user_count(&self, u: UserId, c: usize) -> u32 {
         self.user_counts.row(u.index())[c]
+    }
+
+    /// The whole ϕ row of user `u`.
+    #[inline]
+    pub fn user_count_row(&self, u: UserId) -> &[u32] {
+        self.user_counts.row(u.index())
     }
 
     /// Σ_l ϕ_{u,l}.
@@ -179,12 +185,8 @@ impl SamplerState {
     pub fn apply_user_delta(&mut self, slots: &[i32], totals: &[i32]) {
         debug_assert_eq!(slots.len(), self.num_user_slots());
         debug_assert_eq!(totals.len(), self.user_totals.len());
-        for (c, &d) in self.user_counts.values_mut().iter_mut().zip(slots) {
-            *c = c.wrapping_add_signed(d);
-        }
-        for (t, &d) in self.user_totals.iter_mut().zip(totals) {
-            *t = t.wrapping_add_signed(d);
-        }
+        add_deltas(self.user_counts.values_mut(), slots);
+        add_deltas(&mut self.user_totals, totals);
     }
 
     /// Applies per-slot φ deltas and per-city total deltas by index.

@@ -218,3 +218,18 @@ proptest! {
         );
     }
 }
+
+/// A venue id outside the vocabulary panics in `mark` instead of setting
+/// a bit in the row's padding (venues 70 and 127 of 70) or in the next
+/// city's row (venue 128 is city 1's venue 0 at two words per city).
+#[test]
+fn marking_out_of_vocabulary_venues_panics() {
+    for v in [70, 127, 128] {
+        let mut support = VenueSupport::new(2, 70);
+        let marked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            support.mark(CityId(0), VenueId(v));
+        }));
+        assert!(marked.is_err(), "venue {v} of 70 was marked");
+        assert_eq!(VenueCountStore::build(&support).num_slots(), 0, "venue {v} changed a row");
+    }
+}
