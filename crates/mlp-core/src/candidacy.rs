@@ -43,6 +43,11 @@ impl Candidacy {
     /// Builds every user's candidacy vector and priors from the dataset's
     /// relationship lists; `_adj` is unused and kept for existing callers.
     pub fn build(gaz: &Gazetteer, dataset: &Dataset, _adj: &Adjacency, config: &MlpConfig) -> Self {
+        Self::from_dataset(gaz, dataset, config)
+    }
+
+    /// [`Self::build`] without the unused adjacency.
+    pub(crate) fn from_dataset(gaz: &Gazetteer, dataset: &Dataset, config: &MlpConfig) -> Self {
         let mut builder = CandidacyBuilder::new(dataset.num_users(), config);
         for e in &dataset.edges {
             builder.observe_edge(e, &dataset.registered);

@@ -121,8 +121,10 @@ pub struct MlpConfig {
     /// Candidate fallback: users with no location signal at all get the
     /// `k` most populous cities as candidates.
     pub fallback_popular_k: usize,
-    /// Worker threads for the sweep. 1 = exact sequential Gibbs; >1 uses the
-    /// AD-LDA-style approximate parallel sweep.
+    /// Worker threads for the sweep. 1 = exact sequential Gibbs; `n > 1`
+    /// splits every sweep into `n` shards on scoped threads, each sweeping
+    /// against the sweep-start counts plus its own updates, reconciled
+    /// after the sweep (the AD-LDA approximation; see [`crate::parallel`]).
     pub threads: usize,
     /// RNG seed for inference.
     pub seed: u64,

@@ -14,13 +14,13 @@
 //! and both trainers mark it in one [`VenueSupport`] bitmap that the
 //! store reads its rows from. Counts live in one flat slab, lookups are a
 //! binary search over a short sorted key row, rows iterate in venue-id
-//! order for free, and a parallel merge is a flat index-wise delta-add.
-//! Cities whose support covers a large fraction of the venue vocabulary
-//! fall back to a dense row: O(1) indexed lookups, no search.
+//! order for free, and a shard's reconciliation is a flat index-wise
+//! delta-add. Cities whose support covers a large fraction of the venue
+//! vocabulary fall back to a dense row: O(1) indexed lookups, no search.
 //!
 //! The per-user `ϕ` rows need no keys at all (they are dense over each
-//! user's candidate list) and are stored as a plain [`Csr`] arena by
-//! [`crate::state::SamplerState`].
+//! user's candidate list) and are stored as a plain [`Csr`] arena beside
+//! this store in [`crate::state`].
 
 use mlp_gazetteer::{CityId, VenueId};
 use mlp_social::Csr;
@@ -85,14 +85,13 @@ impl VenueSupport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VenueCountStore {
     /// Sorted venue-id support per sparse city (empty rows for dense
-    /// cities — their support lives in `dense`).
+    /// cities — their support is every venue).
     keys: Csr<u32>,
-    /// Counts parallel to `keys`'s value slab.
+    /// Every count, in the flat slot space: the sparse rows parallel to
+    /// `keys`'s value slab, then the dense rows, `num_venues` counts each.
     counts: Vec<u32>,
     /// Per-city dense-row index, or [`SPARSE`].
     dense_slot: Vec<u32>,
-    /// Dense rows, `num_venues` counts each, concatenated.
-    dense: Vec<u32>,
     /// Σ_v φ_{l,v} per city.
     totals: Vec<u32>,
     num_venues: usize,
@@ -128,9 +127,8 @@ impl VenueCountStore {
             offsets.push(keys.len() as u32);
         }
         let keys = Csr::from_parts(offsets, keys);
-        let counts = vec![0u32; keys.num_values()];
-        let dense = vec![0u32; dense_rows as usize * num_venues];
-        Self { keys, counts, dense_slot, dense, totals: vec![0; num_cities], num_venues }
+        let counts = vec![0u32; keys.num_values() + dense_rows as usize * num_venues];
+        Self { keys, counts, dense_slot, totals: vec![0; num_cities], num_venues }
     }
 
     /// Venue vocabulary size this store was built for.
@@ -146,11 +144,7 @@ impl VenueCountStore {
     /// `φ_{l,v}` — zero for pairs outside the support.
     #[inline]
     pub fn get(&self, l: CityId, v: VenueId) -> u32 {
-        match self.slot(l, v) {
-            Some(Slot::Sparse(i)) => self.counts[i],
-            Some(Slot::Dense(i)) => self.dense[i],
-            None => 0,
-        }
+        self.slot_index(l, v).map_or(0, |s| self.counts[s])
     }
 
     /// `Σ_v φ_{l,v}`.
@@ -164,11 +158,8 @@ impl VenueCountStore {
     /// derivation missed a reachable assignment.
     #[inline]
     pub fn add(&mut self, l: CityId, v: VenueId) {
-        match self.slot(l, v) {
-            Some(Slot::Sparse(i)) => self.counts[i] += 1,
-            Some(Slot::Dense(i)) => self.dense[i] += 1,
-            None => panic!("adding venue outside the precomputed support"),
-        }
+        let s = self.slot_index(l, v).expect("adding venue outside the precomputed support");
+        self.counts[s] += 1;
         self.totals[l.index()] += 1;
     }
 
@@ -176,15 +167,10 @@ impl VenueCountStore {
     /// holds no count (same contract as the seed's HashMap store).
     #[inline]
     pub fn remove(&mut self, l: CityId, v: VenueId) {
-        let cell = match self.slot(l, v) {
-            Some(Slot::Sparse(i)) => &mut self.counts[i],
-            Some(Slot::Dense(i)) => &mut self.dense[i],
-            None => panic!("removing venue that was never added"),
-        };
-        if *cell == 0 {
-            panic!("removing venue that was never added");
+        match self.slot_index(l, v) {
+            Some(s) if self.counts[s] > 0 => self.counts[s] -= 1,
+            _ => panic!("removing venue that was never added"),
         }
-        *cell -= 1;
         self.totals[l.index()] -= 1;
     }
 
@@ -196,89 +182,60 @@ impl VenueCountStore {
         match self.dense_slot[i] {
             SPARSE => VenueRow::Sparse {
                 keys: self.keys.row(i).iter(),
-                counts: self.counts
-                    [self.keys.offsets()[i] as usize..self.keys.offsets()[i + 1] as usize]
-                    .iter(),
+                counts: self.counts[self.keys.row_range(i)].iter(),
             },
-            slot => VenueRow::Dense {
-                counts: self.dense
-                    [slot as usize * self.num_venues..(slot as usize + 1) * self.num_venues]
-                    .iter()
-                    .enumerate(),
-            },
+            slot => {
+                let start = self.keys.num_values() + slot as usize * self.num_venues;
+                VenueRow::Dense {
+                    counts: self.counts[start..start + self.num_venues].iter().enumerate(),
+                }
+            }
         }
     }
 
     /// Zeroes every count and total, keeping the support layout.
     pub fn clear(&mut self) {
         self.counts.fill(0);
-        self.dense.fill(0);
         self.totals.fill(0);
     }
 
     /// Size of the flat slot space ([`Self::slot_index`] codomain): sparse
-    /// slab first, dense slab after.
+    /// rows first, dense rows after.
     pub fn num_slots(&self) -> usize {
-        self.counts.len() + self.dense.len()
+        self.counts.len()
     }
 
-    /// Flat slot of `(l, v)` for index-wise delta merges. Panics outside
-    /// the support (workers only ever touch reachable pairs).
+    /// Flat slot of `(l, v)` for index-wise delta merges; `None` outside
+    /// the support.
     #[inline]
-    pub fn slot_index(&self, l: CityId, v: VenueId) -> usize {
-        match self.slot(l, v) {
-            Some(Slot::Sparse(i)) => i,
-            Some(Slot::Dense(i)) => self.counts.len() + i,
-            None => panic!("venue outside the precomputed support has no slot"),
-        }
-    }
-
-    /// Applies per-slot count deltas and per-city total deltas (the merge
-    /// step of a parallel sweep). Deltas must not underflow any count.
-    pub fn apply_delta(&mut self, slots: &[i32], totals: &[i32]) {
-        debug_assert_eq!(slots.len(), self.num_slots());
-        debug_assert_eq!(totals.len(), self.totals.len());
-        let (sparse, dense) = slots.split_at(self.counts.len());
-        add_deltas(&mut self.counts, sparse);
-        add_deltas(&mut self.dense, dense);
-        add_deltas(&mut self.totals, totals);
-    }
-
-    /// Merges the difference `after − before` into this store — the
-    /// count-reconciliation step of sharded training: `before` is the
-    /// frozen super-sweep view a shard swept against, `after` that
-    /// shard's mutated working clone. All three stores must share one
-    /// support layout (clones of the same build).
-    pub fn apply_diff(&mut self, after: &Self, before: &Self) {
-        assert_eq!(after.counts.len(), self.counts.len(), "diff across different supports");
-        assert_eq!(after.dense.len(), self.dense.len(), "diff across different supports");
-        for ((c, &a), &b) in self.counts.iter_mut().zip(&after.counts).zip(&before.counts) {
-            *c = c.wrapping_add(a.wrapping_sub(b));
-        }
-        for ((c, &a), &b) in self.dense.iter_mut().zip(&after.dense).zip(&before.dense) {
-            *c = c.wrapping_add(a.wrapping_sub(b));
-        }
-        for ((t, &a), &b) in self.totals.iter_mut().zip(&after.totals).zip(&before.totals) {
-            *t = t.wrapping_add(a.wrapping_sub(b));
-        }
-    }
-
-    #[inline]
-    fn slot(&self, l: CityId, v: VenueId) -> Option<Slot> {
+    pub fn slot_index(&self, l: CityId, v: VenueId) -> Option<usize> {
         let i = l.index();
         match self.dense_slot[i] {
-            SPARSE => self
-                .keys
-                .row(i)
-                .binary_search(&v.0)
-                .ok()
-                .map(|pos| Slot::Sparse(self.keys.slot(i, pos))),
+            SPARSE => {
+                let pos = self.keys.row(i).binary_search(&v.0).ok()?;
+                Some(self.keys.slot(i, pos))
+            }
             // The vocabulary bound matters on the dense path: without it
             // an out-of-range venue id would alias into the *next* dense
             // city's row instead of behaving like any other miss.
             _ if v.index() >= self.num_venues => None,
-            slot => Some(Slot::Dense(slot as usize * self.num_venues + v.index())),
+            slot => Some(self.keys.num_values() + slot as usize * self.num_venues + v.index()),
         }
+    }
+
+    /// The count at a flat slot of [`Self::slot_index`].
+    #[inline]
+    pub fn count_at(&self, slot: usize) -> u32 {
+        self.counts[slot]
+    }
+
+    /// Applies per-slot count deltas and per-city total deltas (the merge
+    /// step of a sharded sweep). Deltas must not underflow any count.
+    pub fn apply_delta(&mut self, slots: &[i32], totals: &[i32]) {
+        assert_eq!(slots.len(), self.num_slots(), "delta over another support");
+        assert_eq!(totals.len(), self.totals.len(), "delta over another city count");
+        add_deltas(&mut self.counts, slots);
+        add_deltas(&mut self.totals, totals);
     }
 }
 
@@ -287,11 +244,6 @@ pub(crate) fn add_deltas(counts: &mut [u32], deltas: &[i32]) {
     for (c, &d) in counts.iter_mut().zip(deltas) {
         *c = c.wrapping_add_signed(d);
     }
-}
-
-enum Slot {
-    Sparse(usize),
-    Dense(usize),
 }
 
 /// Borrowed iterator over a city's non-zero `(venue, count)` entries,
@@ -426,7 +378,7 @@ mod tests {
         let mut slots = vec![0i32; merged.num_slots()];
         let mut totals = vec![0i32; merged.num_cities()];
         for (l, v, d) in [(0u32, 5u32, 2i32), (1, 3, 1), (0, 5, -1)] {
-            slots[merged.slot_index(CityId(l), VenueId(v))] += d;
+            slots[merged.slot_index(CityId(l), VenueId(v)).unwrap()] += d;
             totals[l as usize] += d;
         }
         merged.apply_delta(&slots, &totals);

@@ -1,5 +1,5 @@
-//! The stateless Gibbs conditional kernel (paper Eqs. 5–9) and the two
-//! Gibbs steps built on it.
+//! The stateless Gibbs conditional kernel (paper Eqs. 5–9), the two
+//! Gibbs steps built on it, and the one sweep loop over them.
 //!
 //! Every conditional the sampler draws from — the edge selector `μ_s`, the
 //! edge assignments `x_s`/`y_s`, the mention selector `ν_k`, and the mention
@@ -15,33 +15,34 @@
 //! relationship's draws (`μ_s`, then `x_s`, then `y_s`) and `mention_step`
 //! a tweeting relationship's (`ν_k`, then `z_k`); `score_anchor` /
 //! `score_venue` score, `init_mode` picks and `init_position` draws the
-//! mode-biased initial assignment every chain starts from. Each chain
-//! driver calls these and owns only its count bookkeeping and RNG streams:
+//! mode-biased initial assignment every chain starts from.
 //!
-//! * the sequential sweep ([`crate::sampler`]) excludes the relationship by
-//!   decrementing the live [`SamplerState`], then adds the new draw back;
-//! * the AD-LDA chunk workers ([`crate::parallel`]) read counts frozen for
-//!   the fork-join, exclude arithmetically through [`EdgeExcluded`] /
-//!   [`MentionExcluded`], and record changes in flat delta slabs;
-//! * the sharded super-sweep ([`crate::shard`]) reads frozen global counts
-//!   plus the shard's own delta and working `φ`, through the same wrappers;
+//! `sweep` is the one loop every training chain runs: over a slice of
+//! edges and a slice of mentions, it excludes each relationship by
+//! removing its draw from a `CountStore`, steps, and adds the new draw
+//! back. Two stores instantiate it, and the schedulers around it own only
+//! which slices a loop gets, its RNG stream, and when shards reconcile:
+//!
+//! * the sequential sweep ([`crate::sampler`]) runs it once over every
+//!   relationship against the live counts — the exact chain;
+//! * the threaded sweep ([`crate::parallel`]) and the out-of-core trainer
+//!   ([`crate::shard`]) run it per shard against a `ShardCounts`: counts
+//!   frozen at the sweep's start plus the shard's own deltas, merged back
+//!   by `Counts::reconcile` ([`crate::state`]);
 //! * the fold-in chain ([`crate::infer`]) decrements the one live user's
 //!   counts and calls `mention_step`; its edge step, which redraws only
 //!   the new user's side against a fixed anchor, is its own.
 //!
-//! The `kernel_weights_identical_across_drivers` test pins that live
-//! decrement and arithmetic exclusion give bit-identical weights and
-//! draws.
-//!
-//! The kernel never sees the count *layout*: [`SamplerState`] answers
-//! [`CountView`] lookups from its columnar CSR arenas
+//! The kernel never sees the count *layout*: the training stores answer
+//! [`CountView`] lookups from columnar CSR arenas
 //! ([`crate::count_store`]), the fold-in engine from frozen snapshot
 //! slabs — swapping a storage backend cannot change a single weight.
 
 use crate::candidacy::Candidacy;
 use crate::config::MlpConfig;
 use crate::random_models::RandomModels;
-use crate::state::SamplerState;
+use crate::sampler::SweepChanges;
+use crate::state::Assignments;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_geo::KernelMatrix;
 use mlp_sampling::{sample_categorical, Pcg64};
@@ -125,153 +126,18 @@ pub trait CountView {
     fn city_total(&self, l: CityId) -> f64;
 }
 
-/// The live state is its own count view: the sequential driver removes the
-/// current relationship's contribution before evaluating conditionals.
-impl CountView for SamplerState {
-    #[inline]
-    fn user_count(&self, u: UserId, c: usize) -> f64 {
-        SamplerState::user_count(self, u, c) as f64
-    }
-
-    #[inline]
-    fn user_total(&self, u: UserId) -> f64 {
-        SamplerState::user_total(self, u) as f64
-    }
-
-    #[inline]
-    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
-        SamplerState::venue_count(self, l, v) as f64
-    }
-
-    #[inline]
-    fn city_total(&self, l: CityId) -> f64 {
-        SamplerState::city_total(self, l) as f64
-    }
-}
-
-/// A count view shared between chunk workers is a plain reference.
-impl<C: CountView + ?Sized> CountView for &C {
-    #[inline]
-    fn user_count(&self, u: UserId, c: usize) -> f64 {
-        (**self).user_count(u, c)
-    }
-
-    #[inline]
-    fn user_total(&self, u: UserId) -> f64 {
-        (**self).user_total(u)
-    }
-
-    #[inline]
-    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
-        (**self).venue_count(l, v)
-    }
-
-    #[inline]
-    fn city_total(&self, l: CityId) -> f64 {
-        (**self).city_total(l)
-    }
-}
-
-/// View over frozen base counts for one *edge*, excluding that edge's
-/// current contribution (if it was counted) arithmetically.
-#[derive(Clone, Copy)]
-pub struct EdgeExcluded<C: CountView> {
-    base: C,
-    /// Whether the edge's assignments are in the counts (`!μ_s` or the
-    /// `count_noisy_assignments` ablation).
-    counted: bool,
-    i: UserId,
-    xi: usize,
-    j: UserId,
-    yj: usize,
-}
-
-impl<C: CountView> EdgeExcluded<C> {
-    /// View excluding edge `⟨i,j⟩` currently assigned `(x_s=xi, y_s=yj)`.
-    pub fn new(base: C, counted: bool, i: UserId, xi: usize, j: UserId, yj: usize) -> Self {
-        Self { base, counted, i, xi, j, yj }
-    }
-}
-
-impl<C: CountView> CountView for EdgeExcluded<C> {
-    #[inline]
-    fn user_count(&self, u: UserId, c: usize) -> f64 {
-        let own = (self.counted && u == self.i && c == self.xi) as u32
-            + (self.counted && u == self.j && c == self.yj) as u32;
-        self.base.user_count(u, c) - own as f64
-    }
-
-    #[inline]
-    fn user_total(&self, u: UserId) -> f64 {
-        let own = (self.counted && u == self.i) as u32 + (self.counted && u == self.j) as u32;
-        self.base.user_total(u) - own as f64
-    }
-
-    #[inline]
-    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
-        // Edges never contribute venue tokens.
-        self.base.venue_count(l, v)
-    }
-
-    #[inline]
-    fn city_total(&self, l: CityId) -> f64 {
-        self.base.city_total(l)
-    }
-}
-
-/// View over frozen base counts for one *mention*, excluding its profile
-/// count (if counted) and its venue token (if location-based).
-#[derive(Clone, Copy)]
-pub struct MentionExcluded<C: CountView> {
-    base: C,
-    /// Whether the mention's assignment is in the profile counts.
-    counted: bool,
-    /// Whether the mention's venue token is in the venue counts (`!ν_k`).
-    venue_counted: bool,
-    i: UserId,
-    zi: usize,
-    old_city: CityId,
-    v: VenueId,
-}
-
-impl<C: CountView> MentionExcluded<C> {
-    /// View excluding mention `k` of user `i` at venue `v`, currently
-    /// assigned `z_k = zi` resolving to `old_city`.
-    pub fn new(
-        base: C,
-        counted: bool,
-        venue_counted: bool,
-        i: UserId,
-        zi: usize,
-        old_city: CityId,
-        v: VenueId,
-    ) -> Self {
-        Self { base, counted, venue_counted, i, zi, old_city, v }
-    }
-}
-
-impl<C: CountView> CountView for MentionExcluded<C> {
-    #[inline]
-    fn user_count(&self, u: UserId, c: usize) -> f64 {
-        let own = (self.counted && u == self.i && c == self.zi) as u32;
-        self.base.user_count(u, c) - own as f64
-    }
-
-    #[inline]
-    fn user_total(&self, u: UserId) -> f64 {
-        self.base.user_total(u) - (self.counted && u == self.i) as u32 as f64
-    }
-
-    #[inline]
-    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
-        let own = (self.venue_counted && l == self.old_city && v == self.v) as u32;
-        self.base.venue_count(l, v) - own as f64
-    }
-
-    #[inline]
-    fn city_total(&self, l: CityId) -> f64 {
-        self.base.city_total(l) - (self.venue_counted && l == self.old_city) as u32 as f64
-    }
+/// A [`CountView`] the sweep updates in place: [`sweep`] removes a
+/// relationship's current draw before its step and adds the new draw
+/// after, so every read excludes the relationship being resampled.
+pub(crate) trait CountStore: CountView {
+    /// Adds one assignment of user `u` to candidate index `c`.
+    fn add_user(&mut self, u: UserId, c: usize);
+    /// Removes one assignment of user `u` from candidate index `c`.
+    fn remove_user(&mut self, u: UserId, c: usize);
+    /// Adds one token of venue `v` at city `l`.
+    fn add_venue(&mut self, l: CityId, v: VenueId);
+    /// Removes one token of venue `v` from city `l`.
+    fn remove_venue(&mut self, l: CityId, v: VenueId);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,6 +334,62 @@ pub(crate) fn mention_step<P: ProfileView + ?Sized>(
     (nu, z)
 }
 
+/// One Gibbs sweep over `edges`, then `mentions` — the one sweep loop of
+/// every training chain. Each relationship's current draw, read from
+/// `asg`, is removed from `counts`, the edge or mention step draws anew,
+/// and the new draw is added back and written to `asg`. `asg` holds
+/// exactly one assignment per relationship given. Returns how many
+/// relationships changed.
+pub(crate) fn sweep<C: CountStore>(
+    view: &SamplerView<'_>,
+    counts: &mut C,
+    edges: &[FollowEdge],
+    mentions: &[TweetMention],
+    asg: Assignments<'_>,
+    rng: &mut Pcg64,
+    buf: &mut Vec<f64>,
+) -> SweepChanges {
+    assert!(asg.mu.len() == edges.len() && asg.nu.len() == mentions.len());
+    let count_noisy = view.config.count_noisy_assignments;
+    let mut changes = SweepChanges::default();
+    for (s, e) in edges.iter().enumerate() {
+        let (i, j) = (e.follower, e.friend);
+        let (old_mu, old_x, old_y) = (asg.mu[s], asg.x[s] as usize, asg.y[s] as usize);
+        if !old_mu || count_noisy {
+            counts.remove_user(i, old_x);
+            counts.remove_user(j, old_y);
+        }
+        let (mu, x, y) = edge_step(view, &*counts, (i, old_x), (j, old_y), rng, buf);
+        if !mu || count_noisy {
+            counts.add_user(i, x);
+            counts.add_user(j, y);
+        }
+        (asg.mu[s], asg.x[s], asg.y[s]) = (mu, x as u16, y as u16);
+        changes.edges += ((mu, x, y) != (old_mu, old_x, old_y)) as usize;
+    }
+    for (k, m) in mentions.iter().enumerate() {
+        let (i, v) = (m.user, m.venue);
+        let ci = view.candidacy.candidates(i);
+        let (old_nu, old_z) = (asg.nu[k], asg.z[k] as usize);
+        if !old_nu || count_noisy {
+            counts.remove_user(i, old_z);
+        }
+        if !old_nu {
+            counts.remove_venue(ci[old_z], v);
+        }
+        let (nu, z) = mention_step(view, &*counts, (i, old_z), v, rng, buf);
+        if !nu || count_noisy {
+            counts.add_user(i, z);
+        }
+        if !nu {
+            counts.add_venue(ci[z], v);
+        }
+        (asg.nu[k], asg.z[k]) = (nu, z as u16);
+        changes.mentions += ((nu, z) != (old_nu, old_z)) as usize;
+    }
+    changes
+}
+
 /// Adds one labeled anchor's evidence to a user's initial-mode scores:
 /// `ln d(l, anchor)^α` at each candidate `l`.
 #[inline]
@@ -583,106 +505,6 @@ pub(crate) fn init_position(rng: &mut Pcg64, mode: Option<usize>, len: usize) ->
 mod tests {
     use super::*;
     use crate::sampler::tests::Fixture;
-
-    /// What the kernel derives for edge `⟨i,j⟩` from one count view: the
-    /// selector weights, the `x` weights against the current partner, and
-    /// the edge step's draw from an RNG seeded with `seed`.
-    fn edge_outputs(
-        view: &SamplerView<'_>,
-        counts: &impl CountView,
-        (i, xi): (UserId, usize),
-        (j, yj): (UserId, usize),
-        seed: u64,
-    ) -> ((f64, f64), Vec<f64>, (bool, usize, usize)) {
-        let x_city = view.candidacy.candidates(i)[xi];
-        let y_city = view.candidacy.candidates(j)[yj];
-        let fe = Endpoint { user: i, pos: xi, city: x_city };
-        let fr = Endpoint { user: j, pos: yj, city: y_city };
-        let mut weights = Vec::new();
-        edge_position_weights(view, counts, i, Some(y_city), &mut weights);
-        let mut buf = Vec::new();
-        let draw = edge_step(view, counts, (i, xi), (j, yj), &mut Pcg64::new(seed), &mut buf);
-        (edge_selector_weights(view, counts, fe, fr), weights, draw)
-    }
-
-    /// [`edge_outputs`] for user `i`'s mention of venue `v`.
-    fn mention_outputs(
-        view: &SamplerView<'_>,
-        counts: &impl CountView,
-        (i, zi): (UserId, usize),
-        v: VenueId,
-        seed: u64,
-    ) -> ((f64, f64), Vec<f64>, (bool, usize)) {
-        let z_city = view.candidacy.candidates(i)[zi];
-        let mut weights = Vec::new();
-        mention_position_weights(view, counts, i, Some(v), &mut weights);
-        let mut buf = Vec::new();
-        let draw = mention_step(view, counts, (i, zi), v, &mut Pcg64::new(seed), &mut buf);
-        (mention_selector_weights(view, counts, i, zi, z_city, v), weights, draw)
-    }
-
-    /// The load-bearing invariant of the shared steps: for the same
-    /// relationship and RNG seed, the kernel produces bit-identical weights
-    /// and draws whether the relationship is excluded by live decrement
-    /// (the sequential sweep, the fold-in chain) or arithmetically by
-    /// [`EdgeExcluded`]/[`MentionExcluded`] (the AD-LDA and sharded
-    /// drivers), with and without `count_noisy_assignments`.
-    #[test]
-    fn kernel_weights_identical_across_drivers() {
-        for count_noisy in [false, true] {
-            let config = MlpConfig { count_noisy_assignments: count_noisy, ..Default::default() };
-            let f = Fixture::new(120, 31, config);
-            let (data, cand) = (&f.dataset, &f.cand);
-            let mut sampler = f.sampler();
-            sampler.sweep();
-            let (view, state, _, _) = sampler.split();
-
-            for s in 0..data.num_edges().min(200) {
-                let e = data.edges[s];
-                let (i, j) = (e.follower, e.friend);
-                let (mu, xi, yj) = (state.mu[s], state.x[s] as usize, state.y[s] as usize);
-                let counted = !mu || count_noisy;
-
-                if counted {
-                    state.remove_user(i, xi);
-                    state.remove_user(j, yj);
-                }
-                let live = edge_outputs(&view, &*state, (i, xi), (j, yj), s as u64);
-                if counted {
-                    state.add_user(i, xi);
-                    state.add_user(j, yj);
-                }
-                let excluded = EdgeExcluded::new(&*state, counted, i, xi, j, yj);
-                let arithmetic = edge_outputs(&view, &excluded, (i, xi), (j, yj), s as u64);
-                assert_eq!(live, arithmetic, "edge {s} (count_noisy {count_noisy}) differs");
-            }
-
-            for k in 0..data.num_mentions().min(200) {
-                let m = data.mentions[k];
-                let (i, v) = (m.user, m.venue);
-                let (nu, zi) = (state.nu[k], state.z[k] as usize);
-                let counted = !nu || count_noisy;
-                let old_city = cand.candidates(i)[zi];
-
-                if counted {
-                    state.remove_user(i, zi);
-                }
-                if !nu {
-                    state.remove_venue(old_city, v);
-                }
-                let live = mention_outputs(&view, &*state, (i, zi), v, k as u64);
-                if counted {
-                    state.add_user(i, zi);
-                }
-                if !nu {
-                    state.add_venue(old_city, v);
-                }
-                let excluded = MentionExcluded::new(&*state, counted, !nu, i, zi, old_city, v);
-                let arithmetic = mention_outputs(&view, &excluded, (i, zi), v, k as u64);
-                assert_eq!(live, arithmetic, "mention {k} (count_noisy {count_noisy}) differs");
-            }
-        }
-    }
 
     #[test]
     fn noisy_branches_drop_the_evidence_factor() {

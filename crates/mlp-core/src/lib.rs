@@ -24,15 +24,19 @@
 //! * [`random_models`] — the empirical noise models `F_R` and `T_R`;
 //! * [`count_store`] — columnar CSR count arenas (sparse venue counts
 //!   with dense fallback) shared by the sampler state and its drivers;
-//! * [`state`] — assignment state and collapsed count bookkeeping;
-//! * [`kernel`] — the stateless conditional-weight kernel (Eqs. 5–9) and
-//!   the one edge step and one mention step every Gibbs chain draws with;
-//! * [`sampler`] — the sequential sweep driver (live count decrement);
-//! * [`parallel`] — the AD-LDA-style chunked parallel sweep driver
-//!   (frozen counts, per-worker delta slabs);
-//! * [`shard`] — out-of-core training: sampler state sharded by user
-//!   partition over a disk-streamed corpus, with periodic count
-//!   reconciliation between super-sweeps;
+//! * [`state`] — assignment state and collapsed count bookkeeping, live
+//!   and per shard;
+//! * [`kernel`] — the stateless conditional-weight kernel (Eqs. 5–9), the
+//!   one edge step and one mention step every Gibbs chain draws with, and
+//!   the one sweep loop every training chain runs;
+//! * [`sampler`] — the Gibbs chain and its sequential schedule: the loop
+//!   over every relationship against the live counts;
+//! * [`parallel`] — the threaded AD-LDA schedule: the loop on `threads`
+//!   shards at once, each against the sweep-start counts plus its own
+//!   deltas, reconciled after every sweep;
+//! * [`shard`] — out-of-core training: the same shards and reconciliation
+//!   over a disk-streamed corpus, one shard at a time, reconciled between
+//!   super-sweeps;
 //! * [`em`] — the Gibbs-EM power-law refit;
 //! * [`diagnostics`] — per-iteration convergence telemetry (Fig. 5);
 //! * [`model`] — the [`Mlp`] façade tying it together, and [`MlpResult`];

@@ -15,7 +15,7 @@ use crate::sampler::GibbsSampler;
 use crate::snapshot::PosteriorSnapshot;
 use mlp_gazetteer::{CityId, Gazetteer};
 use mlp_geo::PowerLaw;
-use mlp_social::{Adjacency, Dataset, UserId};
+use mlp_social::{Dataset, UserId};
 
 /// Final assignment for one following relationship — the paper's
 /// "explanation" of the edge (Sec. 5.3).
@@ -119,8 +119,7 @@ impl<'a> Mlp<'a> {
     }
 
     fn run_impl(&self, want_snapshot: bool) -> (MlpResult, Option<PosteriorSnapshot>) {
-        let adj = Adjacency::build(self.dataset);
-        let candidacy = Candidacy::build(self.gaz, self.dataset, &adj, &self.config);
+        let candidacy = Candidacy::from_dataset(self.gaz, self.dataset, &self.config);
         let random = RandomModels::learn(self.dataset, self.gaz.num_venues());
         let mut sampler =
             GibbsSampler::new(self.gaz, self.dataset, &candidacy, &random, &self.config);
@@ -134,8 +133,8 @@ impl<'a> Mlp<'a> {
         let mut sweep_counter = 0u64;
         for round in 0..em_rounds {
             for iter in 0..self.config.iterations {
-                // One entry point for both modes: `parallel_sweep` runs the
-                // exact sequential sweep when `threads == 1`.
+                // One entry point for both schedules: `parallel_sweep` runs
+                // the exact sequential sweep when `threads == 1`.
                 let changes = parallel_sweep(&mut sampler, sweep_counter);
                 sweep_counter += 1;
                 if iter >= self.config.burn_in {
@@ -371,8 +370,7 @@ mod tests {
         let mlp = Mlp::new(&gaz, &data.dataset, config.clone()).unwrap();
         let result = mlp.run();
         // `run` rebuilds candidacy from the same inputs, deterministically.
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &mlp.config);
+        let cand = Candidacy::from_dataset(&gaz, &data.dataset, &mlp.config);
         let edges = &data.dataset.edges;
         assert_eq!(result.edge_assignments.len(), edges.len());
         for (s, (e, a)) in edges.iter().zip(&result.edge_assignments).enumerate() {

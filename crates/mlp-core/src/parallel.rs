@@ -1,279 +1,80 @@
-//! Approximate parallel Gibbs sweep (AD-LDA style).
+//! The threaded Gibbs sweep (AD-LDA; Newman, Asuncion, Smyth & Welling,
+//! "Distributed Algorithms for Topic Models", JMLR 2009).
 //!
 //! The paper's dataset has ~160K users and millions of relationships; a
-//! sequential sweep is the bottleneck at that scale. Following the standard
-//! approximate-distributed-LDA recipe, a parallel sweep partitions
-//! relationships into `threads` contiguous chunks and runs the edge and
-//! mention steps of [`crate::kernel`], shared with every other chain, on
-//! all chunks concurrently against the sweep-start counts. Each
-//! relationship still excludes its *own* contribution, arithmetically via
-//! [`EdgeExcluded`]/[`MentionExcluded`], but sees stale counts for
-//! relationships resampled in other chunks.
+//! sequential sweep is the bottleneck at that scale. With `threads > 1`,
+//! one sweep splits the relationships into `threads` shards — shard `t`
+//! takes the `t`-th contiguous range of the edges and then of the
+//! mentions — and runs the shared sweep loop of [`crate::kernel`] on every
+//! shard at once, on `std::thread::scope`. Each shard reads the counts as
+//! they stood at the sweep's start plus its own deltas (a `ShardCounts`):
+//! it sees its own updates at once and the other shards' only after the
+//! sweep, when `Counts::reconcile` adds every shard's deltas back.
+//! Integer deltas commute, so the merged counts are exactly those of the
+//! new assignments (`check_consistency` in the tests pins it). The
+//! out-of-core trainer ([`crate::shard`]) runs the same shards and the
+//! same reconciliation, one shard at a time.
 //!
-//! This driver owns the rest:
-//!
-//! * the per-chunk RNG streams, derived from `(seed, sweep, chunk)`;
-//! * the fork-join: `std::thread::scope` lets every worker share a plain
-//!   `&SamplerState`, frozen because nothing writes until every chunk is
-//!   joined, so no state is cloned;
-//! * flat per-worker *delta slabs* in the state's stable slot space,
-//!   written back with one index-wise add per slab. Integer deltas
-//!   commute, so the merged counts are exactly what the sequential
-//!   remove/add bookkeeping would produce, with no rebuild
-//!   (`check_consistency` in the tests pins it).
-//!
-//! The stale reads make this an approximation of the exact chain; the
+//! This scheduler owns the shard ranges, the per-shard RNG streams
+//! derived from `(seed, sweep, shard)`, and the fork-join. The stale
+//! cross-shard reads make it an approximation of the exact chain; the
 //! `parallel_matches_sequential_quality` test bounds the accuracy cost.
-//! With `threads == 1` the driver falls back to the exact sequential
-//! sweep, so single-threaded results are byte-identical to
-//! [`GibbsSampler::sweep`].
+//! With `threads == 1` it runs the exact sequential sweep, so
+//! single-threaded results are byte-identical to [`GibbsSampler::sweep`].
 
-use crate::kernel::{self, EdgeExcluded, MentionExcluded, SamplerView};
+use crate::kernel;
 use crate::sampler::{GibbsSampler, SweepChanges};
-use crate::state::SamplerState;
+use crate::state::ShardCounts;
 use mlp_sampling::{Pcg64, SplitMix64};
-use mlp_social::{Dataset, UserId};
 use std::ops::Range;
 
-/// Flat ϕ count deltas accumulated by one worker: per-slot changes plus
-/// per-user total changes, merged into the state by index.
+/// Runs one Gibbs sweep on `threads` shards; returns change counts.
 ///
-/// The slabs are full-arena-sized per worker. That is the right trade:
-/// the slot spaces grow with users × candidates and cities × support —
-/// always far smaller than the relationship count a sweep walks anyway —
-/// so zeroing is one memset and the merge is a branch-free streaming add,
-/// where the seed's merge paid a hash lookup per relationship *endpoint*.
-struct UserDelta {
-    slots: Vec<i32>,
-    totals: Vec<i32>,
-}
-
-impl UserDelta {
-    fn new(state: &SamplerState, num_users: usize) -> Self {
-        Self { slots: vec![0; state.num_user_slots()], totals: vec![0; num_users] }
-    }
-
-    /// Adds `by` to user `u`'s count at candidate index `c`.
-    #[inline]
-    fn add(&mut self, state: &SamplerState, u: UserId, c: usize, by: i32) {
-        self.slots[state.user_slot(u, c)] += by;
-        self.totals[u.index()] += by;
-    }
-}
-
-/// One chunk's newly sampled edge assignments plus its count deltas.
-struct EdgeOut {
-    start: usize,
-    mu: Vec<bool>,
-    x: Vec<u16>,
-    y: Vec<u16>,
-    delta: UserDelta,
-    changed: usize,
-}
-
-/// One chunk's newly sampled mention assignments plus its count deltas
-/// (mentions touch both ϕ and φ).
-struct MentionOut {
-    start: usize,
-    nu: Vec<bool>,
-    z: Vec<u16>,
-    delta: UserDelta,
-    venue_slots: Vec<i32>,
-    city_totals: Vec<i32>,
-    changed: usize,
-}
-
-/// Runs one approximate parallel sweep; returns change counts.
-///
-/// `sweep_index` feeds the per-chunk RNG streams so repeated sweeps do not
-/// reuse randomness. Falls back to the exact sequential sweep when
-/// `threads == 1`.
+/// `sweep_index` feeds the per-shard RNG streams so repeated sweeps do not
+/// reuse randomness. Runs the exact sequential sweep when `threads == 1`.
 pub fn parallel_sweep(sampler: &mut GibbsSampler<'_>, sweep_index: u64) -> SweepChanges {
-    let threads = sampler.config().threads;
+    let config = sampler.config();
+    let threads = config.threads;
     if threads <= 1 {
         return sampler.sweep();
     }
-    let view = sampler.view();
-    let config = sampler.config();
-    let dataset = sampler.dataset();
-    let seed = config.seed;
+    let (edges, mentions) = sampler.relationships();
+    let edge_ranges = chunk_ranges(edges.len(), threads);
+    let mention_ranges = chunk_ranges(mentions.len(), threads);
+    let (view, state, _, _) = sampler.split();
+    let (counts, mut rest) = state.parts_mut();
 
-    let num_edges = if config.variant.uses_following() { dataset.num_edges() } else { 0 };
-    let num_mentions = if config.variant.uses_tweeting() { dataset.num_mentions() } else { 0 };
-
-    let edge_chunks = chunk_ranges(num_edges, threads);
-    let mention_chunks = chunk_ranges(num_mentions, threads);
-
-    let (edge_outs, mention_outs) = {
-        // Shared read-only borrow: frozen until every worker is joined.
-        let state = &sampler.state;
-        std::thread::scope(|scope| {
-            let edge_handles: Vec<_> = edge_chunks
-                .into_iter()
-                .enumerate()
-                .map(|(t, range)| {
-                    // Sweep index in the high half, chunk index in the low:
-                    // no (sweep, chunk) pair can alias another even at
-                    // absurd thread counts.
-                    let rng_seed = SplitMix64::derive(
-                        seed,
-                        0xE000_0000_0000_0000 ^ (sweep_index << 32) ^ t as u64,
-                    );
-                    scope.spawn(move || resample_edge_chunk(view, state, dataset, range, rng_seed))
-                })
-                .collect();
-            let mention_handles: Vec<_> = mention_chunks
-                .into_iter()
-                .enumerate()
-                .map(|(t, range)| {
-                    let rng_seed = SplitMix64::derive(
-                        seed,
-                        0x4000_0000_0000_0000 ^ (sweep_index << 32) ^ t as u64,
-                    );
-                    scope.spawn(move || {
-                        resample_mention_chunk(view, state, dataset, range, rng_seed)
-                    })
-                })
-                .collect();
-            let edge_outs: Vec<EdgeOut> =
-                edge_handles.into_iter().map(|h| h.join().expect("edge worker")).collect();
-            let mention_outs: Vec<MentionOut> =
-                mention_handles.into_iter().map(|h| h.join().expect("mention worker")).collect();
-            (edge_outs, mention_outs)
-        })
-    };
-
-    merge(sampler, edge_outs, mention_outs)
-}
-
-/// Resamples one contiguous range of edges against frozen counts,
-/// accumulating ϕ deltas into a flat slab.
-fn resample_edge_chunk(
-    view: SamplerView<'_>,
-    state: &SamplerState,
-    dataset: &Dataset,
-    range: Range<usize>,
-    rng_seed: u64,
-) -> EdgeOut {
-    let mut rng = Pcg64::new(rng_seed);
-    let mut out = EdgeOut {
-        start: range.start,
-        mu: Vec::with_capacity(range.len()),
-        x: Vec::with_capacity(range.len()),
-        y: Vec::with_capacity(range.len()),
-        delta: UserDelta::new(state, dataset.num_users()),
-        changed: 0,
-    };
-    let count_noisy = view.config.count_noisy_assignments;
-    // One weight buffer per chunk, reused across its whole range.
-    let mut buf = Vec::new();
-    for s in range {
-        let e = dataset.edges[s];
-        let (i, j) = (e.follower, e.friend);
-        let (old_mu, old_x, old_y) = (state.mu[s], state.x[s] as usize, state.y[s] as usize);
-        let counted = !old_mu || count_noisy;
-        let counts = EdgeExcluded::new(state, counted, i, old_x, j, old_y);
-        let (mu, x, y) =
-            kernel::edge_step(&view, &counts, (i, old_x), (j, old_y), &mut rng, &mut buf);
-
-        if counted {
-            out.delta.add(state, i, old_x, -1);
-            out.delta.add(state, j, old_y, -1);
+    let frozen = &*counts;
+    let shards: Vec<_> = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(threads);
+        for (t, (er, mr)) in edge_ranges.into_iter().zip(mention_ranges).enumerate() {
+            let (asg, tail) = rest.split_at(er.len(), mr.len());
+            rest = tail;
+            // Sweep index in the high half, shard index in the low: no
+            // (sweep, shard) pair can alias another even at absurd thread
+            // counts.
+            let rng_seed = SplitMix64::derive(
+                config.seed,
+                0xE000_0000_0000_0000 ^ (sweep_index << 32) ^ t as u64,
+            );
+            let (edges, mentions) = (&edges[er], &mentions[mr]);
+            handles.push(scope.spawn(move || {
+                let (mut counts, mut buf) = (ShardCounts::new(frozen), Vec::new());
+                let rng = &mut Pcg64::new(rng_seed);
+                let changes =
+                    kernel::sweep(&view, &mut counts, edges, mentions, asg, rng, &mut buf);
+                (counts.into_delta(), changes)
+            }));
         }
-        if !mu || count_noisy {
-            out.delta.add(state, i, x, 1);
-            out.delta.add(state, j, y, 1);
-        }
-        out.changed += ((mu, x, y) != (old_mu, old_x, old_y)) as usize;
+        handles.into_iter().map(|h| h.join().expect("shard worker")).collect()
+    });
 
-        out.mu.push(mu);
-        out.x.push(x as u16);
-        out.y.push(y as u16);
-    }
-    out
-}
-
-/// Resamples one contiguous range of mentions against frozen counts,
-/// accumulating ϕ and φ deltas into flat slabs.
-fn resample_mention_chunk(
-    view: SamplerView<'_>,
-    state: &SamplerState,
-    dataset: &Dataset,
-    range: Range<usize>,
-    rng_seed: u64,
-) -> MentionOut {
-    let mut rng = Pcg64::new(rng_seed);
-    let mut out = MentionOut {
-        start: range.start,
-        nu: Vec::with_capacity(range.len()),
-        z: Vec::with_capacity(range.len()),
-        delta: UserDelta::new(state, dataset.num_users()),
-        venue_slots: vec![0; state.num_venue_slots()],
-        city_totals: vec![0; view.gaz.num_cities()],
-        changed: 0,
-    };
-    let count_noisy = view.config.count_noisy_assignments;
-    let mut buf = Vec::new();
-    for k in range {
-        let m = dataset.mentions[k];
-        let (i, v) = (m.user, m.venue);
-        let ci = view.candidacy.candidates(i);
-        let (old_nu, old_z) = (state.nu[k], state.z[k] as usize);
-        let counted = !old_nu || count_noisy;
-        let old_city = ci[old_z];
-        let counts = MentionExcluded::new(state, counted, !old_nu, i, old_z, old_city, v);
-        let (nu, z) = kernel::mention_step(&view, &counts, (i, old_z), v, &mut rng, &mut buf);
-
-        if counted {
-            out.delta.add(state, i, old_z, -1);
-        }
-        if !nu || count_noisy {
-            out.delta.add(state, i, z, 1);
-        }
-        if !old_nu {
-            out.venue_slots[state.venue_slot(old_city, v)] -= 1;
-            out.city_totals[old_city.index()] -= 1;
-        }
-        if !nu {
-            let new_city = ci[z];
-            out.venue_slots[state.venue_slot(new_city, v)] += 1;
-            out.city_totals[new_city.index()] += 1;
-        }
-        out.changed += ((nu, z) != (old_nu, old_z)) as usize;
-
-        out.nu.push(nu);
-        out.z.push(z as u16);
-    }
-    out
-}
-
-/// Writes the chunk outputs back and merges every thread's flat count
-/// deltas by index (one add per slab element — no per-relationship
-/// hash/search work, no rebuild).
-fn merge(
-    sampler: &mut GibbsSampler<'_>,
-    edge_outs: Vec<EdgeOut>,
-    mention_outs: Vec<MentionOut>,
-) -> SweepChanges {
-    let state = &mut sampler.state;
     let mut changes = SweepChanges::default();
-
-    for out in edge_outs {
-        state.mu[out.start..out.start + out.mu.len()].copy_from_slice(&out.mu);
-        state.x[out.start..out.start + out.x.len()].copy_from_slice(&out.x);
-        state.y[out.start..out.start + out.y.len()].copy_from_slice(&out.y);
-        state.apply_user_delta(&out.delta.slots, &out.delta.totals);
-        changes.edges += out.changed;
+    for (delta, shard) in shards {
+        counts.reconcile(&delta);
+        changes.edges += shard.edges;
+        changes.mentions += shard.mentions;
     }
-
-    for out in mention_outs {
-        state.nu[out.start..out.start + out.nu.len()].copy_from_slice(&out.nu);
-        state.z[out.start..out.start + out.z.len()].copy_from_slice(&out.z);
-        state.apply_user_delta(&out.delta.slots, &out.delta.totals);
-        state.apply_venue_delta(&out.venue_slots, &out.city_totals);
-        changes.mentions += out.changed;
-    }
-
     changes
 }
 
@@ -297,8 +98,9 @@ pub(crate) fn chunk_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MlpConfig;
+    use crate::config::{MlpConfig, Variant};
     use crate::sampler::tests::Fixture;
+    use mlp_social::UserId;
 
     #[test]
     fn chunks_cover_everything() {
@@ -315,16 +117,33 @@ mod tests {
         }
     }
 
+    /// After every threaded sweep the reconciled counts equal a rebuild
+    /// from the assignments, for every variant, and the assignments of a
+    /// relationship type the variant leaves out stay as initialised.
     #[test]
     fn parallel_sweep_keeps_counts_exact() {
-        let f = Fixture::new(200, 51, MlpConfig { threads: 4, ..Default::default() });
-        let mut sampler = f.sampler();
-        for sweep in 0..3 {
-            parallel_sweep(&mut sampler, sweep);
-            sampler
-                .state
-                .check_consistency(&f.dataset, &f.cand, false, true, true)
-                .expect("flat delta merge must equal a rebuild");
+        for variant in [Variant::Full, Variant::FollowingOnly, Variant::TweetingOnly] {
+            let config = MlpConfig { threads: 4, variant, ..Default::default() };
+            let f = Fixture::new(200, 51, config);
+            let mut sampler = f.sampler();
+            let initial = sampler.state.clone();
+            let (following, tweeting) = (variant.uses_following(), variant.uses_tweeting());
+            for sweep in 0..3 {
+                let changes = parallel_sweep(&mut sampler, sweep);
+                let (state, label) = (&sampler.state, format!("{variant:?} sweep {sweep}"));
+                let exact =
+                    state.check_consistency(&f.dataset, &f.cand, false, following, tweeting);
+                exact.unwrap_or_else(|e| panic!("{label}: reconciled counts differ: {e}"));
+                if !following {
+                    assert_eq!(changes.edges, 0, "{label}");
+                    let edges = (&state.mu, &state.x, &state.y);
+                    assert_eq!(edges, (&initial.mu, &initial.x, &initial.y), "{label}");
+                }
+                if !tweeting {
+                    assert_eq!(changes.mentions, 0, "{label}");
+                    assert_eq!((&state.nu, &state.z), (&initial.nu, &initial.z), "{label}");
+                }
+            }
         }
     }
 

@@ -1,14 +1,14 @@
-//! The sequential collapsed Gibbs sweep driver (paper Sec. 4.5).
+//! The Gibbs chain and its sequential sweep (paper Sec. 4.5).
 //!
 //! One sweep resamples, for every following relationship, the model
 //! selector `μ_s` and both location assignments `(x_s, y_s)`, and for every
 //! tweeting relationship the selector `ν_k` and assignment `z_k`, each from
-//! its conditional posterior given everything else. The draws themselves
-//! are the edge and mention steps of [`crate::kernel`], shared with every
-//! other chain. This driver owns the rest: the chain's initialisation, its
-//! one RNG stream, the sweep order, and the exclude-current bookkeeping —
-//! it decrements the live [`SamplerState`] before each step and adds the
-//! new draw back after.
+//! its conditional posterior given everything else. [`GibbsSampler`] owns
+//! the chain: its initialisation, its live [`SamplerState`], its power
+//! law and its one RNG stream. Its sweep is the shared sweep loop of
+//! [`crate::kernel`] over every relationship, against the live counts —
+//! the exact chain. The threaded sweep ([`crate::parallel`]) runs the same
+//! loop per shard.
 
 use crate::candidacy::Candidacy;
 use crate::config::MlpConfig;
@@ -18,7 +18,7 @@ use crate::state::SamplerState;
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_geo::{KernelMatrix, PowerLaw};
 use mlp_sampling::{Pcg64, SplitMix64};
-use mlp_social::{Dataset, UserId};
+use mlp_social::{Dataset, FollowEdge, TweetMention, UserId};
 
 /// The sampler: owns the mutable state and RNG, borrows everything static.
 pub struct GibbsSampler<'a> {
@@ -166,75 +166,23 @@ impl<'a> GibbsSampler<'a> {
         (view, &mut self.state, &mut self.rng, &mut self.weight_buf)
     }
 
-    /// One full Gibbs sweep over all relationships.
+    /// The relationships the chain samples: every edge and every mention
+    /// of the dataset, or none of a type the variant leaves out.
+    pub(crate) fn relationships(&self) -> (&'a [FollowEdge], &'a [TweetMention]) {
+        let variant = self.config.variant;
+        let edges = if variant.uses_following() { &self.dataset.edges[..] } else { &[] };
+        let mentions = if variant.uses_tweeting() { &self.dataset.mentions[..] } else { &[] };
+        (edges, mentions)
+    }
+
+    /// One full Gibbs sweep over all relationships, against the live
+    /// counts with the chain's own RNG stream.
     pub fn sweep(&mut self) -> SweepChanges {
-        let mut changes = SweepChanges::default();
-        if self.config.variant.uses_following() {
-            for s in 0..self.dataset.num_edges() {
-                if self.resample_edge(s) {
-                    changes.edges += 1;
-                }
-            }
-        }
-        if self.config.variant.uses_tweeting() {
-            for k in 0..self.dataset.num_mentions() {
-                if self.resample_mention(k) {
-                    changes.mentions += 1;
-                }
-            }
-        }
-        changes
-    }
-
-    /// Resamples `(μ_s, x_s, y_s)`; returns whether anything changed.
-    fn resample_edge(&mut self, s: usize) -> bool {
-        let e = self.dataset.edges[s];
-        let (i, j) = (e.follower, e.friend);
-        let count_noisy = self.config.count_noisy_assignments;
+        let (edges, mentions) = self.relationships();
         let (view, state, rng, buf) = self.split();
-        let (old_mu, old_x, old_y) = (state.mu[s], state.x[s] as usize, state.y[s] as usize);
-
-        // Exclude the current contribution by live decrement.
-        if !old_mu || count_noisy {
-            state.remove_user(i, old_x);
-            state.remove_user(j, old_y);
-        }
-        let (mu, x, y) = kernel::edge_step(&view, &*state, (i, old_x), (j, old_y), rng, buf);
-        if !mu || count_noisy {
-            state.add_user(i, x);
-            state.add_user(j, y);
-        }
-        state.mu[s] = mu;
-        state.x[s] = x as u16;
-        state.y[s] = y as u16;
-        (mu, x, y) != (old_mu, old_x, old_y)
-    }
-
-    /// Resamples `(ν_k, z_k)`; returns whether anything changed.
-    fn resample_mention(&mut self, k: usize) -> bool {
-        let m = self.dataset.mentions[k];
-        let (i, v) = (m.user, m.venue);
-        let ci = self.candidacy.candidates(i);
-        let count_noisy = self.config.count_noisy_assignments;
-        let (view, state, rng, buf) = self.split();
-        let (old_nu, old_z) = (state.nu[k], state.z[k] as usize);
-
-        if !old_nu || count_noisy {
-            state.remove_user(i, old_z);
-        }
-        if !old_nu {
-            state.remove_venue(ci[old_z], v);
-        }
-        let (nu, z) = kernel::mention_step(&view, &*state, (i, old_z), v, rng, buf);
-        if !nu || count_noisy {
-            state.add_user(i, z);
-        }
-        if !nu {
-            state.add_venue(ci[z], v);
-        }
-        state.nu[k] = nu;
-        state.z[k] = z as u16;
-        (nu, z) != (old_nu, old_z)
+        let (counts, asg) = state.parts_mut();
+        let (asg, _) = asg.split_at(edges.len(), mentions.len());
+        kernel::sweep(&view, counts, edges, mentions, asg, rng, buf)
     }
 
     /// θ̂_i per Eq. 10, over user `u`'s candidates, using post-burn-in mean

@@ -11,8 +11,8 @@
 //!   [`Candidacy`] (built chunk by chunk through the in-memory path's
 //!   builder), the collapsed user counts `ϕ` and their post-burn-in
 //!   accumulators (flat `u32` arenas in its slot space), and the venue
-//!   counts `φ` ([`VenueCountStore`]). This is O(users · mean-candidates +
-//!   support) — the irreducible model state.
+//!   counts `φ` ([`crate::VenueCountStore`]). This is O(users ·
+//!   mean-candidates + support) — the irreducible model state.
 //! * **Resident per shard, one shard at a time**: the shard's corpus
 //!   chunks (re-streamed from disk every super-sweep) and its assignment
 //!   vectors (μ/x/y/ν/z), spilled to scratch files between super-sweeps.
@@ -23,17 +23,16 @@
 //!
 //! Training proceeds in *super-sweeps* of `reconcile_every` local sweeps.
 //! At the start of a super-sweep the global `ϕ`/`φ` counts are frozen.
-//! Each shard then runs its local sweeps — the edge and mention steps of
-//! [`crate::kernel`], shared with every other chain — against `frozen +
-//! its own delta slab` and its working copy of `φ`. Its own updates are
-//! visible immediately (the exclude-current arithmetic of
-//! [`EdgeExcluded`]/[`MentionExcluded`] stays exact), while other shards'
-//! same-super-sweep updates are stale until the **count reconciliation**:
-//! the flat index-wise delta merge that [`crate::parallel`] performs per
-//! sweep, here performed per super-sweep. `reconcile_every` trades
-//! staleness against merge/freeze traffic. This driver owns the shard
-//! schedule, the RNG streams, the delta slab and working `φ`, the
-//! reconciliation, and the assignment spills.
+//! Each shard then runs its local sweeps — the shared sweep loop of
+//! [`crate::kernel`], called chunk by chunk — against the frozen counts
+//! plus its own `i32` deltas, the same shard counts the threaded sweep
+//! ([`crate::parallel`]) uses. Its own updates are visible to it at once,
+//! while other shards' same-super-sweep updates are stale until the
+//! **count reconciliation**: the flat index-wise delta merge the threaded
+//! sweep performs per sweep, here performed per shard per super-sweep.
+//! `reconcile_every` trades staleness against merge/freeze traffic. This
+//! driver owns the shard schedule, the RNG streams, the frozen copy and
+//! the assignment spills.
 //!
 //! Post-burn-in, the posterior is accumulated at reconciliation points
 //! (every super-sweep contributes one sample of the fully-merged counts),
@@ -46,13 +45,14 @@
 
 use crate::candidacy::{Candidacy, CandidacyBuilder};
 use crate::config::MlpConfig;
-use crate::count_store::{add_deltas, VenueCountStore, VenueSupport};
-use crate::kernel::{self, CountView, EdgeExcluded, InitScores, MentionExcluded, SamplerView};
+use crate::count_store::VenueSupport;
+use crate::kernel::{self, CountStore, InitScores, SamplerView};
 use crate::model::Mlp;
 use crate::parallel::chunk_ranges;
 use crate::random_models::RandomModels;
 use crate::snapshot::{PosteriorSnapshot, UserArena, UserPosterior};
-use mlp_gazetteer::{CityId, Gazetteer, VenueId};
+use crate::state::{Assignments, Counts, ShardCounts};
+use mlp_gazetteer::{CityId, Gazetteer};
 use mlp_geo::KernelMatrix;
 use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::stream::{CorpusChunk, CorpusError, CorpusReader};
@@ -62,7 +62,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 // RNG stream phases for the sharded path (disjoint from the sampler's
-// 0x9B5 init stream and the parallel driver's 0xE…/0x4… sweep streams).
+// 0x9B5 init stream and the threaded sweep's 0xE… shard streams).
 const PHASE_SHARD_INIT: u64 = 0x7000_0000_0000_0000;
 const PHASE_SHARD_SWEEP: u64 = 0x6000_0000_0000_0000;
 
@@ -169,55 +169,6 @@ pub fn train_corpus(
 }
 
 // ---------------------------------------------------------------------------
-// The shard count view
-// ---------------------------------------------------------------------------
-
-/// One shard's view of the collapsed counts during a super-sweep: frozen
-/// global counts plus the shard's own delta slab (its updates are live to
-/// itself, stale to everyone else), and its working `φ` clone.
-struct ShardCounts<'a> {
-    candidacy: &'a Candidacy,
-    frozen: &'a [u32],
-    frozen_totals: &'a [u32],
-    delta: Vec<i32>,
-    delta_totals: Vec<i32>,
-    venues: VenueCountStore,
-}
-
-impl ShardCounts<'_> {
-    /// Adds `by` to user `u`'s count at candidate index `c` in the delta.
-    #[inline]
-    fn add_user(&mut self, u: UserId, c: usize, by: i32) {
-        self.delta[self.candidacy.slot(u, c)] += by;
-        self.delta_totals[u.index()] += by;
-    }
-}
-
-impl CountView for ShardCounts<'_> {
-    #[inline]
-    fn user_count(&self, u: UserId, c: usize) -> f64 {
-        let s = self.candidacy.slot(u, c);
-        (self.frozen[s] as i64 + self.delta[s] as i64) as f64
-    }
-
-    #[inline]
-    fn user_total(&self, u: UserId) -> f64 {
-        let i = u.index();
-        (self.frozen_totals[i] as i64 + self.delta_totals[i] as i64) as f64
-    }
-
-    #[inline]
-    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
-        self.venues.get(l, v) as f64
-    }
-
-    #[inline]
-    fn city_total(&self, l: CityId) -> f64 {
-        self.venues.total(l) as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Per-shard assignments (spilled between super-sweeps)
 // ---------------------------------------------------------------------------
 
@@ -232,6 +183,11 @@ struct ShardAssignments {
 }
 
 impl ShardAssignments {
+    fn slices(&mut self) -> Assignments<'_> {
+        let (mu, x, y, nu, z) = (&mut self.mu, &mut self.x, &mut self.y, &mut self.nu, &mut self.z);
+        Assignments { mu, x, y, nu, z }
+    }
+
     /// Serialises to the spill format (scratch file — no fsync needed;
     /// a crash simply restarts training).
     fn encode(&self) -> Vec<u8> {
@@ -293,10 +249,8 @@ struct ShardedTrainer<'g, 'r> {
     /// `d^α` per city pair for the (possibly data-fitted) power law.
     kernel: KernelMatrix,
     modes: Vec<Option<u32>>,
-    // Global collapsed counts in the candidate slot space.
-    counts: Vec<u32>,
-    totals: Vec<u32>,
-    venues: VenueCountStore,
+    /// Global collapsed counts in the candidate slot space.
+    counts: Counts,
     // Post-burn-in accumulators (one sample per reconciliation).
     acc: Vec<u32>,
     acc_samples: u32,
@@ -394,11 +348,9 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                 }
             }
         }
-        let venues = VenueCountStore::build(&support);
         // Allocated before the scores are freed: that free raises glibc's mmap
         // threshold and would pin these arenas on the heap (+10–20 MiB peak).
-        let num_slots = candidacy.num_slots();
-        let (counts, acc) = (vec![0; num_slots], vec![0; num_slots]);
+        let (counts, acc) = (Counts::new(&candidacy, &support), vec![0; candidacy.num_slots()]);
         let modes = scores.modes(&registered);
 
         Ok(Self {
@@ -413,8 +365,6 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             kernel,
             modes,
             counts,
-            totals: vec![0; n],
-            venues,
             acc,
             acc_samples: 0,
         })
@@ -444,10 +394,8 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                     let x = pos(&mut rng, e.follower, &self.modes);
                     let y = pos(&mut rng, e.friend, &self.modes);
                     if !mu || count_noisy {
-                        self.counts[self.candidacy.slot(e.follower, x)] += 1;
-                        self.counts[self.candidacy.slot(e.friend, y)] += 1;
-                        self.totals[e.follower.index()] += 1;
-                        self.totals[e.friend.index()] += 1;
+                        self.counts.add_user(e.follower, x);
+                        self.counts.add_user(e.friend, y);
                     }
                     asg.mu.push(mu);
                     asg.x.push(x as u16);
@@ -463,11 +411,10 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                     let nu = rng.bernoulli(self.config.rho_t);
                     let z = pos(&mut rng, m.user, &self.modes);
                     if !nu || count_noisy {
-                        self.counts[self.candidacy.slot(m.user, z)] += 1;
-                        self.totals[m.user.index()] += 1;
+                        self.counts.add_user(m.user, z);
                     }
                     if !nu {
-                        self.venues.add(self.candidacy.candidates(m.user)[z], m.venue);
+                        self.counts.add_venue(self.candidacy.candidates(m.user)[z], m.venue);
                     }
                     asg.nu.push(nu);
                     asg.z.push(z as u16);
@@ -482,17 +429,15 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
     }
 
     /// One shard's super-sweep: stream its chunks, load its assignments,
-    /// run K local sweeps against frozen + own-delta counts, merge the
-    /// deltas (the reconciliation), and spill the new assignments.
-    #[allow(clippy::too_many_arguments)]
+    /// run K local sweeps of the shared sweep loop, chunk by chunk,
+    /// against the frozen counts plus the shard's own deltas, reconcile
+    /// the deltas into the global counts, and spill the new assignments.
     fn sweep_shard(
         &mut self,
         shard: usize,
         super_sweep: u64,
         local_sweeps: usize,
-        frozen: &[u32],
-        frozen_totals: &[u32],
-        frozen_venues: &VenueCountStore,
+        frozen: &Counts,
     ) -> Result<(), TrainError> {
         let chunks: Vec<CorpusChunk> = self.shards[shard]
             .clone()
@@ -500,14 +445,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             .collect::<Result<_, _>>()?;
         let mut asg = ShardAssignments::decode(&std::fs::read(self.spill_path(shard))?)?;
 
-        let mut counts = ShardCounts {
-            candidacy: &self.candidacy,
-            frozen,
-            frozen_totals,
-            delta: vec![0; self.candidacy.num_slots()],
-            delta_totals: vec![0; self.candidacy.num_users()],
-            venues: frozen_venues.clone(),
-        };
+        let mut counts = ShardCounts::new(frozen);
         let view = SamplerView {
             gaz: self.gaz,
             candidacy: &self.candidacy,
@@ -515,7 +453,6 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             config: &self.config,
             kernel: &self.kernel,
         };
-        let count_noisy = self.config.count_noisy_assignments;
         let uses_following = self.config.variant.uses_following();
         let uses_tweeting = self.config.variant.uses_tweeting();
         let mut buf = Vec::new();
@@ -525,74 +462,19 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
                 self.config.seed,
                 PHASE_SHARD_SWEEP ^ (super_sweep << 28) ^ ((shard as u64) << 14) ^ local as u64,
             ));
-            // Chunk by chunk, edges then mentions; `es`/`ks` index the
-            // shard's flat assignment vectors.
-            let (mut es, mut ks) = (0usize, 0usize);
+            // The assignment vectors are flat over the shard's chunks in
+            // stream order; an unused relationship type's stay untouched.
+            let mut rest = asg.slices();
             for chunk in &chunks {
                 let edges = if uses_following { chunk.edges.as_slice() } else { &[] };
-                for (s, e) in (es..).zip(edges) {
-                    let (i, j) = (e.follower, e.friend);
-                    let (old_mu, old_x, old_y) = (asg.mu[s], asg.x[s] as usize, asg.y[s] as usize);
-                    let counted = !old_mu || count_noisy;
-                    let excluded = EdgeExcluded::new(&counts, counted, i, old_x, j, old_y);
-                    let (mu, x, y) = kernel::edge_step(
-                        &view,
-                        &excluded,
-                        (i, old_x),
-                        (j, old_y),
-                        &mut rng,
-                        &mut buf,
-                    );
-                    if counted {
-                        counts.add_user(i, old_x, -1);
-                        counts.add_user(j, old_y, -1);
-                    }
-                    if !mu || count_noisy {
-                        counts.add_user(i, x, 1);
-                        counts.add_user(j, y, 1);
-                    }
-                    asg.mu[s] = mu;
-                    asg.x[s] = x as u16;
-                    asg.y[s] = y as u16;
-                }
-                es += chunk.edges.len();
-
                 let mentions = if uses_tweeting { chunk.mentions.as_slice() } else { &[] };
-                for (k, m) in (ks..).zip(mentions) {
-                    let (i, v) = (m.user, m.venue);
-                    let ci = self.candidacy.candidates(i);
-                    let (old_nu, old_z) = (asg.nu[k], asg.z[k] as usize);
-                    let counted = !old_nu || count_noisy;
-                    let old_city = ci[old_z];
-                    let excluded =
-                        MentionExcluded::new(&counts, counted, !old_nu, i, old_z, old_city, v);
-                    let (nu, z) =
-                        kernel::mention_step(&view, &excluded, (i, old_z), v, &mut rng, &mut buf);
-                    if counted {
-                        counts.add_user(i, old_z, -1);
-                    }
-                    if !nu || count_noisy {
-                        counts.add_user(i, z, 1);
-                    }
-                    if !old_nu {
-                        counts.venues.remove(old_city, v);
-                    }
-                    if !nu {
-                        counts.venues.add(ci[z], v);
-                    }
-                    asg.nu[k] = nu;
-                    asg.z[k] = z as u16;
-                }
-                ks += chunk.mentions.len();
+                let (head, tail) = rest.split_at(edges.len(), mentions.len());
+                kernel::sweep(&view, &mut counts, edges, mentions, head, &mut rng, &mut buf);
+                rest = tail;
             }
         }
 
-        // Reconciliation: flat index-wise merge of this shard's deltas
-        // into the global arenas.
-        add_deltas(&mut self.counts, &counts.delta);
-        add_deltas(&mut self.totals, &counts.delta_totals);
-        self.venues.apply_diff(&counts.venues, frozen_venues);
-
+        self.counts.reconcile(&counts.into_delta());
         std::fs::write(self.spill_path(shard), asg.encode())?;
         Ok(())
     }
@@ -610,16 +492,14 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         while sweeps_done < iterations {
             let k = self.reconcile_every.min(iterations - sweeps_done);
             let frozen = self.counts.clone();
-            let frozen_totals = self.totals.clone();
-            let frozen_venues = self.venues.clone();
             for shard in 0..self.shards.len() {
-                self.sweep_shard(shard, super_sweep, k, &frozen, &frozen_totals, &frozen_venues)?;
+                self.sweep_shard(shard, super_sweep, k, &frozen)?;
             }
             sweeps_done += k;
             super_sweep += 1;
             if sweeps_done > burn_in {
                 // One thinned posterior sample per reconciliation.
-                for (a, &c) in self.acc.iter_mut().zip(&self.counts) {
+                for (a, &c) in self.acc.iter_mut().zip(self.counts.user_values()) {
                     *a += c;
                 }
                 self.acc_samples += 1;
@@ -638,11 +518,10 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
     /// Mean post-burn-in count for `(u, c)` — live counts when no sample
     /// was accumulated yet (same fallback as `SamplerState`).
     fn mean_count(&self, u: UserId, c: usize) -> f64 {
-        let s = self.candidacy.slot(u, c);
         if self.acc_samples == 0 {
-            self.counts[s] as f64
+            self.counts.user_count(u, c) as f64
         } else {
-            self.acc[s] as f64 / self.acc_samples as f64
+            self.acc[self.candidacy.slot(u, c)] as f64 / self.acc_samples as f64
         }
     }
 
@@ -673,7 +552,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             UserPosterior { home, gamma_total, candidates, gammas, mean_counts, mean_total }
         }));
 
-        let venue_row = |l| self.venues.row(l);
+        let venue_row = |l| self.counts.venues().row(l);
         let law = self.kernel.law();
         PosteriorSnapshot::assemble(self.gaz, &self.config, law, &self.random, users, venue_row)
     }

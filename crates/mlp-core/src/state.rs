@@ -12,20 +12,27 @@
 //! * `φ_{l,v}` — how often venue `v` was tweeted from city `l` among
 //!   location-based mentions.
 //!
-//! Counts are columnar: the `ϕ` rows live in one flat row-major [`Csr`]
-//! arena (one slab for the whole corpus, not a `Vec` per user), and the
-//! `φ` rows in a [`VenueCountStore`] — a CSR over the fixed support of
-//! reachable `(city, venue)` pairs, read from a [`VenueSupport`] bitmap
-//! marked once per mention. Both give the hot path contiguous memory,
-//! deterministic venue-id-ordered row iteration without sorting or
-//! allocating, and a stable flat *slot* space so a parallel sweep can
-//! merge per-thread deltas by index ([`crate::parallel`]).
+//! Counts are columnar (`Counts`): the `ϕ` rows live in one flat
+//! row-major [`Csr`] arena (one slab for the whole corpus, not a `Vec` per
+//! user), and the `φ` rows in a [`VenueCountStore`] — a CSR over the fixed
+//! support of reachable `(city, venue)` pairs, read from a
+//! [`VenueSupport`] bitmap marked once per mention. Both give the hot path
+//! contiguous memory, deterministic venue-id-ordered row iteration without
+//! sorting or allocating, and a stable flat *slot* space.
+//!
+//! The one sweep loop ([`crate::kernel`]) updates one of two count stores
+//! in place: the live `Counts` (the exact chain), or a `ShardCounts` —
+//! counts frozen at the sweep's start plus one shard's `i32` deltas in
+//! that slot space. The threaded sweep ([`crate::parallel`]) and the
+//! out-of-core trainer ([`crate::shard`]) both merge a shard back with
+//! the one reconciliation, `Counts::reconcile`.
 //!
 //! Post-burn-in sweeps are accumulated separately so the final `θ̂` (Eq. 10)
 //! averages over the posterior instead of trusting one sample.
 
 use crate::candidacy::Candidacy;
 use crate::count_store::{add_deltas, VenueCountStore, VenueRow, VenueSupport};
+use crate::kernel::{CountStore, CountView};
 use mlp_gazetteer::{CityId, VenueId};
 use mlp_social::{Csr, Dataset, UserId};
 
@@ -43,18 +50,39 @@ pub struct SamplerState {
     /// z_k — user-side assignment (index into user's candidates).
     pub z: Vec<u16>,
 
-    /// ϕ rows, one per user, aligned with the candidate lists — a flat
-    /// row-major arena.
-    user_counts: Csr<u32>,
-    /// Σ_l ϕ_{i,l}.
-    user_totals: Vec<u32>,
-    /// φ_{l,·} — CSR sparse counts over the reachable support.
-    venue_counts: VenueCountStore,
+    /// The live ϕ/φ counts.
+    counts: Counts,
 
-    /// Post-burn-in accumulation of `user_counts` (same row layout).
+    /// Post-burn-in accumulation of the ϕ rows (same row layout).
     acc_user_counts: Csr<u64>,
     /// Number of accumulated sweeps.
     acc_sweeps: u32,
+}
+
+/// Mutable slices of the assignment vectors one sweep rewrites: edges'
+/// `(μ, x, y)` and mentions' `(ν, z)`.
+pub(crate) struct Assignments<'a> {
+    pub(crate) mu: &'a mut [bool],
+    pub(crate) x: &'a mut [u16],
+    pub(crate) y: &'a mut [u16],
+    pub(crate) nu: &'a mut [bool],
+    pub(crate) z: &'a mut [u16],
+}
+
+impl<'a> Assignments<'a> {
+    /// Splits off the first `edges` edge and `mentions` mention
+    /// assignments; returns them and the rest.
+    pub(crate) fn split_at(self, edges: usize, mentions: usize) -> (Self, Self) {
+        let (mu, mu_rest) = self.mu.split_at_mut(edges);
+        let (x, x_rest) = self.x.split_at_mut(edges);
+        let (y, y_rest) = self.y.split_at_mut(edges);
+        let (nu, nu_rest) = self.nu.split_at_mut(mentions);
+        let (z, z_rest) = self.z.split_at_mut(mentions);
+        (
+            Self { mu, x, y, nu, z },
+            Self { mu: mu_rest, x: x_rest, y: y_rest, nu: nu_rest, z: z_rest },
+        )
+    }
 }
 
 impl SamplerState {
@@ -71,22 +99,20 @@ impl SamplerState {
         num_cities: usize,
         num_venues: usize,
     ) -> Self {
-        let n = dataset.num_users();
-        let row_lens = || (0..n).map(|u| candidacy.candidates(UserId(u as u32)).len());
         let mut support = VenueSupport::new(num_cities, num_venues);
         for m in &dataset.mentions {
             support.mark_mention(candidacy.candidates(m.user), m.venue);
         }
+        let row_lens =
+            (0..dataset.num_users()).map(|u| candidacy.candidates(UserId(u as u32)).len());
         Self {
             mu: vec![false; dataset.num_edges()],
             x: vec![0; dataset.num_edges()],
             y: vec![0; dataset.num_edges()],
             nu: vec![false; dataset.num_mentions()],
             z: vec![0; dataset.num_mentions()],
-            user_counts: Csr::with_row_lens(row_lens()),
-            user_totals: vec![0; n],
-            venue_counts: VenueCountStore::build(&support),
-            acc_user_counts: Csr::with_row_lens(row_lens()),
+            counts: Counts::new(candidacy, &support),
+            acc_user_counts: Csr::with_row_lens(row_lens),
             acc_sweeps: 0,
         }
     }
@@ -94,31 +120,31 @@ impl SamplerState {
     /// ϕ count of user `u` at candidate index `c`.
     #[inline]
     pub fn user_count(&self, u: UserId, c: usize) -> u32 {
-        self.user_counts.row(u.index())[c]
+        self.counts.user_count(u, c)
     }
 
     /// The whole ϕ row of user `u`.
     #[inline]
     pub fn user_count_row(&self, u: UserId) -> &[u32] {
-        self.user_counts.row(u.index())
+        self.counts.users.row(u.index())
     }
 
     /// Σ_l ϕ_{u,l}.
     #[inline]
     pub fn user_total(&self, u: UserId) -> u32 {
-        self.user_totals[u.index()]
+        self.counts.user_total(u)
     }
 
     /// φ_{l,v}.
     #[inline]
     pub fn venue_count(&self, l: CityId, v: VenueId) -> u32 {
-        self.venue_counts.get(l, v)
+        self.counts.venues.get(l, v)
     }
 
     /// Σ_v φ_{l,v}.
     #[inline]
     pub fn city_total(&self, l: CityId) -> u32 {
-        self.venue_counts.total(l)
+        self.counts.venues.total(l)
     }
 
     /// The non-zero `(venue, count)` entries of city `l`'s φ row, ascending
@@ -126,77 +152,61 @@ impl SamplerState {
     /// borrowed view over the CSR arena: no allocation, no sort.
     #[inline]
     pub fn venue_count_row(&self, l: CityId) -> VenueRow<'_> {
-        self.venue_counts.row(l)
+        self.counts.venues.row(l)
     }
 
     /// Adds one assignment of user `u` to candidate index `c`.
     #[inline]
     pub fn add_user(&mut self, u: UserId, c: usize) {
-        self.user_counts.row_mut(u.index())[c] += 1;
-        self.user_totals[u.index()] += 1;
+        self.counts.add_user(u, c);
     }
 
     /// Removes one assignment of user `u` from candidate index `c`.
     #[inline]
     pub fn remove_user(&mut self, u: UserId, c: usize) {
-        let cell = &mut self.user_counts.row_mut(u.index())[c];
-        debug_assert!(*cell > 0, "count underflow");
-        *cell -= 1;
-        self.user_totals[u.index()] -= 1;
+        self.counts.remove_user(u, c);
     }
 
     /// Adds one venue token `v` at city `l`.
     #[inline]
     pub fn add_venue(&mut self, l: CityId, v: VenueId) {
-        self.venue_counts.add(l, v);
+        self.counts.add_venue(l, v);
     }
 
     /// Removes one venue token `v` from city `l`.
     #[inline]
     pub fn remove_venue(&mut self, l: CityId, v: VenueId) {
-        self.venue_counts.remove(l, v);
+        self.counts.remove_venue(l, v);
     }
-
-    // --- Flat slot space for parallel delta merges -----------------------
 
     /// Size of the flat ϕ arena (codomain of [`Self::user_slot`]).
     pub fn num_user_slots(&self) -> usize {
-        self.user_counts.num_values()
+        self.counts.users.num_values()
     }
 
     /// Flat arena index of `(u, c)`.
     #[inline]
     pub fn user_slot(&self, u: UserId, c: usize) -> usize {
-        self.user_counts.slot(u.index(), c)
+        self.counts.users.slot(u.index(), c)
     }
 
-    /// Size of the flat φ slot space (codomain of [`Self::venue_slot`]).
-    pub fn num_venue_slots(&self) -> usize {
-        self.venue_counts.num_slots()
-    }
-
-    /// Flat slot of `(l, v)`; panics outside the reachable support.
-    #[inline]
-    pub fn venue_slot(&self, l: CityId, v: VenueId) -> usize {
-        self.venue_counts.slot_index(l, v)
-    }
-
-    /// Applies per-slot ϕ deltas and per-user total deltas by index.
-    pub fn apply_user_delta(&mut self, slots: &[i32], totals: &[i32]) {
-        debug_assert_eq!(slots.len(), self.num_user_slots());
-        debug_assert_eq!(totals.len(), self.user_totals.len());
-        add_deltas(self.user_counts.values_mut(), slots);
-        add_deltas(&mut self.user_totals, totals);
-    }
-
-    /// Applies per-slot φ deltas and per-city total deltas by index.
-    pub fn apply_venue_delta(&mut self, slots: &[i32], totals: &[i32]) {
-        self.venue_counts.apply_delta(slots, totals);
+    /// The live counts beside the assignment vectors, borrowed apart so a
+    /// sweep can update both.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Counts, Assignments<'_>) {
+        let asg = Assignments {
+            mu: &mut self.mu,
+            x: &mut self.x,
+            y: &mut self.y,
+            nu: &mut self.nu,
+            z: &mut self.z,
+        };
+        (&mut self.counts, asg)
     }
 
     /// Folds the current sweep's user counts into the accumulator.
     pub fn accumulate(&mut self) {
-        for (a, &c) in self.acc_user_counts.values_mut().iter_mut().zip(self.user_counts.values()) {
+        let counts = self.counts.users.values();
+        for (a, &c) in self.acc_user_counts.values_mut().iter_mut().zip(counts) {
             *a += c as u64;
         }
         self.acc_sweeps += 1;
@@ -212,7 +222,7 @@ impl SamplerState {
     #[inline]
     pub fn mean_user_count(&self, u: UserId, c: usize) -> f64 {
         if self.acc_sweeps == 0 {
-            self.user_counts.row(u.index())[c] as f64
+            self.counts.user_count(u, c) as f64
         } else {
             self.acc_user_counts.row(u.index())[c] as f64 / self.acc_sweeps as f64
         }
@@ -228,9 +238,7 @@ impl SamplerState {
         uses_following: bool,
         uses_tweeting: bool,
     ) {
-        self.user_counts.values_mut().fill(0);
-        self.user_totals.fill(0);
-        self.venue_counts.clear();
+        self.counts.clear();
 
         if uses_following {
             for (s, e) in dataset.edges.iter().enumerate() {
@@ -265,16 +273,259 @@ impl SamplerState {
     ) -> Result<(), String> {
         let mut fresh = self.clone();
         fresh.rebuild_counts(dataset, candidacy, count_noisy, uses_following, uses_tweeting);
-        if fresh.user_counts != self.user_counts {
+        if fresh.counts.users != self.counts.users {
             return Err("user counts diverged from assignments".into());
         }
-        if fresh.user_totals != self.user_totals {
+        if fresh.counts.totals != self.counts.totals {
             return Err("user totals diverged".into());
         }
-        if fresh.venue_counts != self.venue_counts {
+        if fresh.counts.venues != self.counts.venues {
             return Err("venue counts (or city totals) diverged".into());
         }
         Ok(())
+    }
+}
+
+/// The live state is its own count view: the sweep removes the current
+/// relationship's contribution before evaluating conditionals.
+impl CountView for SamplerState {
+    #[inline]
+    fn user_count(&self, u: UserId, c: usize) -> f64 {
+        CountView::user_count(&self.counts, u, c)
+    }
+
+    #[inline]
+    fn user_total(&self, u: UserId) -> f64 {
+        CountView::user_total(&self.counts, u)
+    }
+
+    #[inline]
+    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
+        CountView::venue_count(&self.counts, l, v)
+    }
+
+    #[inline]
+    fn city_total(&self, l: CityId) -> f64 {
+        CountView::city_total(&self.counts, l)
+    }
+}
+
+/// One chain's collapsed counts: the ϕ rows aligned with the candidate
+/// lists, their per-user totals, and φ.
+#[derive(Debug, Clone)]
+pub(crate) struct Counts {
+    users: Csr<u32>,
+    totals: Vec<u32>,
+    venues: VenueCountStore,
+}
+
+impl Counts {
+    /// Zeroed counts over `candidacy`'s slot space and a marked venue
+    /// support.
+    pub(crate) fn new(candidacy: &Candidacy, support: &VenueSupport) -> Self {
+        let n = candidacy.num_users();
+        let row_lens = (0..n).map(|u| candidacy.candidates(UserId(u as u32)).len());
+        let users = Csr::with_row_lens(row_lens);
+        Self { users, totals: vec![0; n], venues: VenueCountStore::build(support) }
+    }
+
+    /// ϕ count of user `u` at candidate index `c`.
+    #[inline]
+    pub(crate) fn user_count(&self, u: UserId, c: usize) -> u32 {
+        self.users.row(u.index())[c]
+    }
+
+    /// Σ_l ϕ_{u,l}.
+    #[inline]
+    pub(crate) fn user_total(&self, u: UserId) -> u32 {
+        self.totals[u.index()]
+    }
+
+    /// The flat ϕ slab, in the candidacy's slot order.
+    pub(crate) fn user_values(&self) -> &[u32] {
+        self.users.values()
+    }
+
+    /// The φ store.
+    pub(crate) fn venues(&self) -> &VenueCountStore {
+        &self.venues
+    }
+
+    /// Zeroes every count, keeping the layout.
+    fn clear(&mut self) {
+        self.users.values_mut().fill(0);
+        self.totals.fill(0);
+        self.venues.clear();
+    }
+
+    /// Merges one shard's deltas, index by index — the reconciliation
+    /// step of every sharded sweep. Integer adds commute, so the shards
+    /// may merge in any order.
+    pub(crate) fn reconcile(&mut self, delta: &ShardDelta) {
+        assert_eq!(delta.users.len(), self.users.num_values(), "delta over another slot space");
+        assert_eq!(delta.totals.len(), self.totals.len(), "delta over another user count");
+        add_deltas(self.users.values_mut(), &delta.users);
+        add_deltas(&mut self.totals, &delta.totals);
+        self.venues.apply_delta(&delta.venues, &delta.cities);
+    }
+}
+
+impl CountView for Counts {
+    #[inline]
+    fn user_count(&self, u: UserId, c: usize) -> f64 {
+        Counts::user_count(self, u, c) as f64
+    }
+
+    #[inline]
+    fn user_total(&self, u: UserId) -> f64 {
+        Counts::user_total(self, u) as f64
+    }
+
+    #[inline]
+    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
+        self.venues.get(l, v) as f64
+    }
+
+    #[inline]
+    fn city_total(&self, l: CityId) -> f64 {
+        self.venues.total(l) as f64
+    }
+}
+
+impl CountStore for Counts {
+    #[inline]
+    fn add_user(&mut self, u: UserId, c: usize) {
+        self.users.row_mut(u.index())[c] += 1;
+        self.totals[u.index()] += 1;
+    }
+
+    #[inline]
+    fn remove_user(&mut self, u: UserId, c: usize) {
+        let cell = &mut self.users.row_mut(u.index())[c];
+        debug_assert!(*cell > 0, "count underflow");
+        *cell -= 1;
+        self.totals[u.index()] -= 1;
+    }
+
+    #[inline]
+    fn add_venue(&mut self, l: CityId, v: VenueId) {
+        self.venues.add(l, v);
+    }
+
+    #[inline]
+    fn remove_venue(&mut self, l: CityId, v: VenueId) {
+        self.venues.remove(l, v);
+    }
+}
+
+/// One shard's count changes in its frozen [`Counts`]' flat slot spaces.
+pub(crate) struct ShardDelta {
+    users: Vec<i32>,
+    totals: Vec<i32>,
+    venues: Vec<i32>,
+    cities: Vec<i32>,
+}
+
+/// One shard's counts during a sharded sweep: the counts frozen at the
+/// sweep's start plus the shard's own deltas. The shard sees its own
+/// updates at once and the other shards' only after
+/// [`Counts::reconcile`].
+pub(crate) struct ShardCounts<'a> {
+    // The frozen ϕ arena as plain slices, indexed directly on the hot path.
+    offsets: &'a [u32],
+    users: &'a [u32],
+    totals: &'a [u32],
+    venues: &'a VenueCountStore,
+    delta: ShardDelta,
+}
+
+impl<'a> ShardCounts<'a> {
+    /// A shard with no changes yet over `frozen`.
+    pub(crate) fn new(frozen: &'a Counts) -> Self {
+        let venues = &frozen.venues;
+        let delta = ShardDelta {
+            users: vec![0; frozen.users.num_values()],
+            totals: vec![0; frozen.totals.len()],
+            venues: vec![0; venues.num_slots()],
+            cities: vec![0; venues.num_cities()],
+        };
+        let (offsets, users) = (frozen.users.offsets(), frozen.users.values());
+        Self { offsets, users, totals: &frozen.totals, venues, delta }
+    }
+
+    /// The shard's changes, for [`Counts::reconcile`].
+    pub(crate) fn into_delta(self) -> ShardDelta {
+        self.delta
+    }
+
+    #[inline]
+    fn slot(&self, u: UserId, c: usize) -> usize {
+        self.offsets[u.index()] as usize + c
+    }
+
+    #[inline]
+    fn venue_slot(&self, l: CityId, v: VenueId) -> usize {
+        self.venues.slot_index(l, v).expect("venue outside the precomputed support")
+    }
+}
+
+impl CountView for ShardCounts<'_> {
+    #[inline]
+    fn user_count(&self, u: UserId, c: usize) -> f64 {
+        let s = self.slot(u, c);
+        (self.users[s] as i64 + self.delta.users[s] as i64) as f64
+    }
+
+    #[inline]
+    fn user_total(&self, u: UserId) -> f64 {
+        let i = u.index();
+        (self.totals[i] as i64 + self.delta.totals[i] as i64) as f64
+    }
+
+    #[inline]
+    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
+        match self.venues.slot_index(l, v) {
+            Some(s) => (self.venues.count_at(s) as i64 + self.delta.venues[s] as i64) as f64,
+            None => 0.0,
+        }
+    }
+
+    #[inline]
+    fn city_total(&self, l: CityId) -> f64 {
+        let i = l.index();
+        (self.venues.total(l) as i64 + self.delta.cities[i] as i64) as f64
+    }
+}
+
+impl CountStore for ShardCounts<'_> {
+    #[inline]
+    fn add_user(&mut self, u: UserId, c: usize) {
+        let s = self.slot(u, c);
+        self.delta.users[s] += 1;
+        self.delta.totals[u.index()] += 1;
+    }
+
+    #[inline]
+    fn remove_user(&mut self, u: UserId, c: usize) {
+        debug_assert!(CountView::user_count(self, u, c) > 0.0, "count underflow");
+        let s = self.slot(u, c);
+        self.delta.users[s] -= 1;
+        self.delta.totals[u.index()] -= 1;
+    }
+
+    #[inline]
+    fn add_venue(&mut self, l: CityId, v: VenueId) {
+        let s = self.venue_slot(l, v);
+        self.delta.venues[s] += 1;
+        self.delta.cities[l.index()] += 1;
+    }
+
+    #[inline]
+    fn remove_venue(&mut self, l: CityId, v: VenueId) {
+        debug_assert!(CountView::venue_count(self, l, v) > 0.0, "venue count underflow");
+        let s = self.venue_slot(l, v);
+        self.delta.venues[s] -= 1;
+        self.delta.cities[l.index()] -= 1;
     }
 }
 
@@ -409,34 +660,42 @@ mod tests {
     }
 
     #[test]
-    fn flat_deltas_reproduce_incremental_updates() {
+    fn shard_deltas_reconcile_to_incremental_updates() {
         let (gaz, d, cand) = fixture();
         let mut incremental = state_for(&gaz, &d, &cand);
+        incremental.rebuild_counts(&d, &cand, false, true, true);
         let mut merged = incremental.clone();
         let u = UserId(0);
         let city = cand.candidates(u)[0];
         let v = d.mentions[0].venue;
 
-        incremental.add_user(u, 0);
+        incremental.add_user(u, 1);
         incremental.add_user(u, 1);
         incremental.remove_user(u, 0);
+        incremental.remove_venue(city, v);
+        incremental.add_venue(city, v);
         incremental.add_venue(city, v);
 
-        let mut user_slots = vec![0i32; merged.num_user_slots()];
-        let mut user_totals = vec![0i32; d.num_users()];
-        user_slots[merged.user_slot(u, 0)] += 1;
-        user_slots[merged.user_slot(u, 1)] += 1;
-        user_slots[merged.user_slot(u, 0)] -= 1;
-        user_totals[u.index()] += 1;
-        let mut venue_slots = vec![0i32; merged.num_venue_slots()];
-        let mut city_totals = vec![0i32; gaz.num_cities()];
-        venue_slots[merged.venue_slot(city, v)] += 1;
-        city_totals[city.index()] += 1;
-        merged.apply_user_delta(&user_slots, &user_totals);
-        merged.apply_venue_delta(&venue_slots, &city_totals);
+        let (counts, _) = merged.parts_mut();
+        let mut shard = ShardCounts::new(counts);
+        shard.add_user(u, 1);
+        shard.add_user(u, 1);
+        shard.remove_user(u, 0);
+        shard.remove_venue(city, v);
+        shard.add_venue(city, v);
+        shard.add_venue(city, v);
+        // The shard reads its own updates on top of the frozen counts.
+        for c in 0..2 {
+            let expect = incremental.user_count(u, c) as f64;
+            assert_eq!(CountView::user_count(&shard, u, c), expect);
+        }
+        assert_eq!(CountView::user_total(&shard, u), incremental.user_total(u) as f64);
+        assert_eq!(shard.venue_count(city, v), incremental.venue_count(city, v) as f64);
+        assert_eq!(shard.city_total(city), incremental.city_total(city) as f64);
 
-        assert_eq!(merged.user_count(u, 0), incremental.user_count(u, 0));
-        assert_eq!(merged.user_count(u, 1), incremental.user_count(u, 1));
+        let delta = shard.into_delta();
+        counts.reconcile(&delta);
+        assert_eq!(merged.user_count_row(u), incremental.user_count_row(u));
         assert_eq!(merged.user_total(u), incremental.user_total(u));
         assert_eq!(merged.venue_count(city, v), incremental.venue_count(city, v));
         assert_eq!(merged.city_total(city), incremental.city_total(city));

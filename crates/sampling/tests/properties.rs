@@ -70,16 +70,17 @@ proptest! {
         }
     }
 
-    /// Chunk seeds derived the way `parallel_sweep` derives them (root seed
-    /// x sweep index x chunk index) never collide, and the resulting Pcg64
-    /// streams share no outputs in a long prefix.
+    /// Shard seeds derived the way `parallel_sweep` derives them (root seed
+    /// x sweep index x shard index; each threaded shard draws its edges and
+    /// then its mentions from one stream) never collide, and the resulting
+    /// Pcg64 streams share no outputs in a long prefix.
     #[test]
     fn chunk_seed_streams_are_independent(root in any::<u64>()) {
         let mut seeds = std::collections::HashSet::new();
         let mut streams: Vec<Pcg64> = Vec::new();
         for sweep in 0..8u64 {
             for chunk in 0..8u64 {
-                // Mirrors crates/mlp-core/src/parallel.rs.
+                // Mirrors the shard seeds of crates/mlp-core/src/parallel.rs.
                 let seed =
                     SplitMix64::derive(root, 0xE000_0000_0000_0000 ^ (sweep << 32) ^ chunk);
                 prop_assert!(seeds.insert(seed), "seed collision at sweep {sweep} chunk {chunk}");

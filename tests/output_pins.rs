@@ -7,7 +7,7 @@
 //! same-build equality still holds. It covers:
 //!
 //! * the encoded `Mlp::run_with_snapshot` posterior at `threads` 1, 2
-//!   and 4 (the sequential sweep and the AD-LDA chunk workers);
+//!   and 4 (the sequential sweep and the threaded AD-LDA shards);
 //! * the `train_corpus` posterior at `shards` 2 and 3 with
 //!   `reconcile_every` 2 (the sharded super-sweep);
 //! * the `determinism_hash` of a fixed `FoldInEngine::fold_in_batch`
@@ -38,16 +38,16 @@ const SEED: u64 = 2026;
 /// `(label, hash)` pairs recorded from the pinned build.
 const PINS: &[(&str, u64)] = &[
     ("default/threads=1", 0xd9321d2b7aadcbf4),
-    ("default/threads=2", 0x3b1d932cba0dbc41),
-    ("default/threads=4", 0xdcd951f0353a0948),
+    ("default/threads=2", 0x34e2b90aa0f93d45),
+    ("default/threads=4", 0x26307b5ee623a7e4),
     ("default/shards=2", 0xa5dfb80452f0cb1f),
     ("default/shards=3", 0xfbdcb194b35bbc82),
     ("default/fold_in", 0x051f099d1233e0c8),
     ("default/gibbs_em", 0x9c2b4aab160cbe87),
     ("default/run", 0xef8cdfd626054a47),
     ("count_noisy/threads=1", 0x17eef9a41551fd10),
-    ("count_noisy/threads=2", 0x03e25d192d10c490),
-    ("count_noisy/threads=4", 0xde2f6d4b3910d741),
+    ("count_noisy/threads=2", 0x78ebc4fc99f48d56),
+    ("count_noisy/threads=4", 0x31468c260e212d62),
     ("count_noisy/shards=2", 0xd9c8cc2111c954dc),
     ("count_noisy/shards=3", 0xfaa8c6768efcc782),
     ("count_noisy/fold_in", 0x6cc0d18c6429412f),
