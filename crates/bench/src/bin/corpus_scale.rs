@@ -25,7 +25,7 @@
 //! column degrades to "n/a" (`null` in JSON) and the budget check is
 //! skipped with a notice instead of vacuously passing.
 
-use mlp_bench::{doc_usage, mb_cell, mb_json, parse_cli, peak_rss_mb, Flags};
+use mlp_bench::{doc_usage, mb_cell, mb_json, parse_cli, peak_rss_mb, write_json_report, Flags};
 use mlp_core::{MlpConfig, NewUserObservations, ProfileRequest, ServingEngine};
 use mlp_gazetteer::{Gazetteer, SynthConfig, VenueId};
 use mlp_social::stream::StreamingGenerator;
@@ -162,7 +162,7 @@ fn main() {
             .iter()
             .map(|r| {
                 format!(
-                    "    {{\"users\": {}, \"gen_secs\": {:.2}, \"train_secs\": {:.2}, \
+                    "{{\"users\": {}, \"gen_secs\": {:.2}, \"train_secs\": {:.2}, \
                      \"ms_per_sweep\": {:.1}, \"peak_rss_mb\": {}}}",
                     r.users,
                     r.gen_secs,
@@ -172,20 +172,21 @@ fn main() {
                 )
             })
             .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"corpus_scale\",\n  \"chunk\": {},\n  \"shards\": {},\n  \
-             \"reconcile_every\": {},\n  \"iters\": {},\n  \"cities\": {},\n  \"seed\": {},\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            a.chunk,
-            a.shards,
-            a.reconcile_every,
-            a.iters,
-            a.cities,
-            a.seed,
-            entries.join(",\n")
-        );
-        std::fs::write(path, json).expect("writing json report");
-        println!("wrote {}", path.display());
+        let params = [
+            ("chunk", &a.chunk as &dyn std::fmt::Display),
+            ("shards", &a.shards),
+            ("reconcile_every", &a.reconcile_every),
+            ("iters", &a.iters),
+            ("cities", &a.cities),
+            ("seed", &a.seed),
+        ];
+        match write_json_report(path, "corpus_scale", &params, "rows", &entries) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error: writing {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
     }
 
     if let Some(budget) = a.rss_budget_mb {

@@ -20,7 +20,7 @@
 //! wave must trigger at least one auto-refresh *and* one drift-triggered
 //! retrain whose committed accuracy recovers above the dip it reacted to.
 
-use mlp_bench::{doc_usage, parse_cli, Flags};
+use mlp_bench::{doc_usage, parse_cli, write_json_report, Flags};
 use mlp_core::MlpConfig;
 use mlp_eval::{run_scenario, ScenarioReport, ScenarioRunConfig, TextTable, TickAction};
 use mlp_gazetteer::Gazetteer;
@@ -127,30 +127,22 @@ fn main() {
     println!("\n{}", summary.render());
 
     if let Some(path) = &a.json {
-        let bodies: Vec<String> = reports
-            .iter()
-            .map(|r| {
-                // Indent each report object two levels under "scenarios".
-                let body = r.to_json();
-                let indented: Vec<String> =
-                    body.trim_end().lines().map(|l| format!("    {l}")).collect();
-                indented.join("\n").trim_start().to_string()
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"scenario\",\n  \"users\": {},\n  \"ticks\": {},\n  \
-             \"seed\": {},\n  \"iters\": {},\n  \"requests_per_tick\": {},\n  \
-             \"drift_threshold\": {},\n  \"scenarios\": [\n    {}\n  ]\n}}\n",
-            a.users,
-            a.ticks,
-            a.seed,
-            a.iters,
-            a.requests,
-            config.staleness.drift_threshold,
-            bodies.join(",\n    ")
-        );
-        std::fs::write(path, json).expect("writing json report");
-        println!("wrote {}", path.display());
+        let bodies: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+        let params = [
+            ("users", &a.users as &dyn std::fmt::Display),
+            ("ticks", &a.ticks),
+            ("seed", &a.seed),
+            ("iters", &a.iters),
+            ("requests_per_tick", &a.requests),
+            ("drift_threshold", &config.staleness.drift_threshold),
+        ];
+        match write_json_report(path, "scenario", &params, "scenarios", &bodies) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error: writing {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
     }
 
     if a.smoke {

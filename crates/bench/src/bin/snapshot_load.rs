@@ -28,7 +28,7 @@
 //! full-verify ratio (~3x, both sides I/O-bound) would flake.
 
 use bytes::Bytes;
-use mlp_bench::{current_rss, doc_usage, parse_cli, Flags};
+use mlp_bench::{current_rss, doc_usage, parse_cli, write_json_report, Flags};
 use mlp_core::snapshot::{gazetteer_fingerprint, Integrity, PosteriorSnapshot, UserPosterior};
 use mlp_core::{UserArena, VenueArena};
 use mlp_gazetteer::{CityId, Gazetteer, SynthConfig};
@@ -283,7 +283,7 @@ fn main() {
             .iter()
             .map(|r| {
                 format!(
-                    "    {{\"users\": {}, \"file_mb\": {:.1}, \"copied_open_ms\": {:.2}, \
+                    "{{\"users\": {}, \"file_mb\": {:.1}, \"copied_open_ms\": {:.2}, \
                      \"copied_rss_anon_mb\": {:.1}, \"copied_rss_total_mb\": {:.1}, \
                      \"mapped_open_ms\": {:.2}, \"mapped_rss_anon_mb\": {:.1}, \
                      \"mapped_rss_total_mb\": {:.1}, \"speedup\": {:.1}, \
@@ -302,16 +302,18 @@ fn main() {
                 )
             })
             .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"snapshot_load\",\n  \"cities\": {},\n  \"candidates\": {},\n  \
-             \"seed\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            a.cities,
-            a.candidates,
-            a.seed,
-            entries.join(",\n")
-        );
-        std::fs::write(path, json).expect("writing json report");
-        println!("wrote {}", path.display());
+        let params = [
+            ("cities", &a.cities as &dyn std::fmt::Display),
+            ("candidates", &a.candidates),
+            ("seed", &a.seed),
+        ];
+        match write_json_report(path, "snapshot_load", &params, "rows", &entries) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error: writing {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
     }
 
     if !failures.is_empty() {

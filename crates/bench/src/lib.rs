@@ -109,6 +109,32 @@ pub fn mb_json(mb: Option<f64>) -> String {
     mb.map_or_else(|| "null".into(), |v| format!("{v:.1}"))
 }
 
+/// Writes a bench binary's machine-readable report to `path`:
+/// `{"bench": bench, <params in order>, "<rows_key>": [rows]}`. Param
+/// values and rows are JSON already; each row is indented under
+/// `rows_key`. Returns the I/O error (an unwritable path, a directory)
+/// instead of panicking, so the binary can report it and exit 1.
+pub fn write_json_report(
+    path: &std::path::Path,
+    bench: &str,
+    params: &[(&str, &dyn std::fmt::Display)],
+    rows_key: &str,
+    rows: &[String],
+) -> std::io::Result<()> {
+    let mut json = format!("{{\n  \"bench\": \"{bench}\",\n");
+    for (key, value) in params {
+        json.push_str(&format!("  \"{key}\": {value},\n"));
+    }
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            row.trim_end().lines().map(|l| format!("    {l}")).collect::<Vec<_>>().join("\n")
+        })
+        .collect();
+    json.push_str(&format!("  \"{rows_key}\": [\n{}\n  ]\n}}\n", rows.join(",\n")));
+    std::fs::write(path, json)
+}
+
 /// A bench binary's command-line flags, consumed in order. Parsers read
 /// flags with the [`Iterator`] impl and their values with [`Self::value`]
 /// / [`Self::num`], and return `Err(message)` on an unknown flag or a bad
@@ -332,6 +358,23 @@ mod tests {
     fn banner_mentions_parameters() {
         let b = parse(&["--quick"]).banner("Table 2");
         assert!(b.contains("Table 2") && b.contains("users=1000"));
+    }
+
+    #[test]
+    fn json_report_keeps_key_order_and_returns_write_errors() {
+        let dir = std::env::temp_dir().join(format!("mlp-bench-report-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("report.json");
+        let rows = ["{\"a\": 1}".to_string(), "{\n  \"b\": 2\n}\n".to_string()];
+        write_json_report(&path, "demo", &[("seed", &7), ("rate", &0.5)], "rows", &rows).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\n  \"bench\": \"demo\",\n  \"seed\": 7,\n  \"rate\": 0.5,\n  \"rows\": [\n    \
+             {\"a\": 1},\n    {\n      \"b\": 2\n    }\n  ]\n}\n"
+        );
+        // A directory is not a writable file: an error, not a panic.
+        assert!(write_json_report(&dir, "demo", &[], "rows", &rows).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

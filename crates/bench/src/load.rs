@@ -10,10 +10,10 @@
 //! Three pieces:
 //!
 //! * [`LoadConfig`] / [`LoadConfig::parse_from`] — the `serve_load`
-//!   binary's knobs (trained users, client count, duration, coalescing
-//!   wave bound, churn writer on/off, durable artifact, kill timer);
-//! * [`run`] — trains a synthetic posterior, then races N clients
-//!   (optionally through a [`mlp_core::Coalescer`]) against an optional
+//!   binary's knobs (trained users, client count, duration, churn
+//!   writer on/off, durable artifact, kill timer);
+//! * [`run`] — trains a synthetic posterior, then races N clients, each
+//!   calling [`ServingEngine::profile`], against an optional
 //!   refresh-churn writer for the configured duration, folding every
 //!   response time into a mergeable [`LatencyHistogram`]. With
 //!   `--artifact` the engine is file-backed on the durable path (every
@@ -49,11 +49,9 @@ pub struct LoadConfig {
     pub seconds: f64,
     /// Master seed (training, request schedule, churn schedule).
     pub seed: u64,
-    /// Fold-in worker threads per request wave.
+    /// Fold-in worker threads. Only the churn writer's absorb batches can
+    /// use more than one: a client's single-request `profile` runs inline.
     pub threads: usize,
-    /// Coalescer wave bound; `0` serves every request directly through
-    /// [`ServingEngine::profile`] with no coalescing.
-    pub coalesce: usize,
     /// Whether the background writer churns refresh commits during the
     /// measurement window.
     pub churn: bool,
@@ -86,7 +84,6 @@ impl Default for LoadConfig {
             seconds: 5.0,
             seed: 2012,
             threads: 1,
-            coalesce: 8,
             churn: true,
             churn_batch: 8,
             churn_pause: Duration::from_millis(25),
@@ -134,7 +131,6 @@ impl LoadConfig {
                 "--seconds" => out.seconds = flags.num(&flag)?,
                 "--seed" => out.seed = flags.num(&flag)?,
                 "--threads" => out.threads = flags.num(&flag)?,
-                "--coalesce" => out.coalesce = flags.num(&flag)?,
                 "--churn-batch" => out.churn_batch = flags.num(&flag)?,
                 "--artifact" => out.artifact = Some(flags.value(&flag)?),
                 "--kill-after" => out.kill_after = Some(flags.num(&flag)?),
@@ -151,14 +147,13 @@ impl LoadConfig {
     /// One-line provenance banner.
     pub fn banner(&self) -> String {
         let mut line = format!(
-            "# serve_load | users={} clients={} seconds={} seed={} threads={} coalesce={} \
-             churn={} churn_batch={}",
+            "# serve_load | users={} clients={} seconds={} seed={} threads={} churn={} \
+             churn_batch={}",
             self.users,
             self.clients,
             self.seconds,
             self.seed,
             self.threads,
-            self.coalesce,
             if self.churn { "on" } else { "off" },
             self.churn_batch
         );
@@ -326,7 +321,6 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, EngineError> {
         None => cold_train(&gaz, config, &data)?,
     };
 
-    let coalescer = (config.coalesce > 0).then(|| engine.coalescer(config.coalesce));
     let stop = AtomicBool::new(false);
     let epoch_start = engine.epoch();
 
@@ -343,7 +337,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, EngineError> {
     let (per_client, churn_out) = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..config.clients.max(1))
             .map(|c| {
-                let (engine, coalescer, pool, stop) = (&engine, &coalescer, &pool, &stop);
+                let (engine, pool, stop) = (&engine, &pool, &stop);
                 scope.spawn(move || {
                     let mut rng = Pcg64::new(SplitMix64::derive(
                         config.seed,
@@ -354,10 +348,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, EngineError> {
                     while !stop.load(Ordering::Relaxed) {
                         let request = &pool[rng.next_bounded(pool.len())];
                         let begin = Instant::now();
-                        let out = match coalescer {
-                            Some(co) => co.profile(request),
-                            None => engine.profile(request),
-                        };
+                        let out = engine.profile(request);
                         latency.record_duration(begin.elapsed());
                         match out {
                             Ok(_) => ok += 1,
@@ -618,7 +609,6 @@ mod tests {
             churn_pool: 8,
             clients: 1,
             seconds: 0.05,
-            coalesce: 2,
             churn: false,
             train_iters: 2,
             ..LoadConfig::default()
@@ -646,7 +636,6 @@ mod tests {
             churn_pool: 8,
             clients: 1,
             seconds: 0.2,
-            coalesce: 0,
             churn: true,
             churn_batch: 2,
             churn_pause: Duration::from_millis(2),

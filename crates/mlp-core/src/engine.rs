@@ -25,19 +25,15 @@
 //!   [`commits`](ServingEngine::commits),
 //!   [`needs_retrain`](ServingEngine::needs_retrain)) never waits on a
 //!   refresh in progress.
-//! * **Request coalescing** — concurrent single-user requests can opt
-//!   into a [`crate::coalesce::Coalescer`] that groups them into one
-//!   fold-in wave per epoch read (see [`ServingEngine::coalescer`]),
-//!   answering each exactly as a standalone [`ServingEngine::profile`]
-//!   call would.
 //! * **Typed vocabulary** — [`ProfileRequest`] in,
 //!   [`ProfileResponse`]/[`RankedCities`] out, one [`EngineError`] over
 //!   config, model, snapshot, fold-in, and IO failures.
-//! * **Determinism** — [`ServingEngine::profile_batch`] fans requests
-//!   exactly like [`crate::FoldInEngine::fold_in_batch`] (RNG streams
-//!   derived from request index), so batched serving stays bit-identical
-//!   to sequential, and refresh commits publish byte-identical artifacts
-//!   on repeat runs.
+//! * **Determinism** — [`ServingEngine::profile_batch`] runs the same
+//!   batch primitive as [`crate::FoldInEngine::fold_in_batch`], and every
+//!   chain draws from the one seed-derived stream, so an answer depends
+//!   only on its epoch and its request: alone, in any batch, at any
+//!   thread count, or absorbed by a refresh. Refresh commits publish
+//!   byte-identical artifacts on repeat runs.
 //!
 //! The building blocks stay public as the low-level layer; this module is
 //! the API applications are expected to use.
@@ -80,7 +76,6 @@
 //! assert_eq!(engine.snapshot().num_users(), 80);
 //! ```
 
-use crate::coalesce::Coalescer;
 use crate::config::{ConfigError, MlpConfig};
 use crate::infer::{
     determinism_hash_rankings, DerivedParts, FoldInConfig, FoldInEngine, FoldInError,
@@ -769,9 +764,9 @@ impl<'a> ServingEngine<'a> {
         self.current().epoch
     }
 
-    /// The published epoch. A poisoned slot still yields its pointer (see
-    /// [`lock`]): the store it guards is a single pointer write, so it
-    /// can never be torn.
+    /// The published epoch. A poisoned slot still yields its pointer (as
+    /// [`lock_writer`] does): the store it guards is a single pointer
+    /// write, so it can never be torn.
     fn current(&self) -> Arc<Epoch> {
         Arc::clone(&self.published.read().unwrap_or_else(PoisonError::into_inner))
     }
@@ -796,8 +791,8 @@ impl<'a> ServingEngine<'a> {
         next
     }
 
-    /// Profiles one unseen user (defined as the head of a one-request
-    /// batch, so it is bit-identical to `profile_batch`'s first answer).
+    /// Profiles one unseen user: the same answer the request gets in any
+    /// [`Self::profile_batch`] against the same epoch.
     pub fn profile(&self, request: &ProfileRequest) -> Result<ProfileResponse, EngineError> {
         let mut out = self.profile_batch(std::slice::from_ref(request))?;
         Ok(out.pop().expect("one request in, one response out"))
@@ -806,10 +801,10 @@ impl<'a> ServingEngine<'a> {
     /// Profiles a batch of unseen users against the currently published
     /// epoch. Batching semantics are exactly
     /// [`FoldInEngine::fold_in_batch`]: with `threads > 1` in the fold-in
-    /// configuration the batch fans across scoped workers, and results are
-    /// bit-identical to the sequential run. The whole batch is answered
-    /// from one epoch — a refresh committing mid-batch is observed by the
-    /// *next* call, never half-way through this one.
+    /// configuration the batch fans across scoped workers, and every
+    /// answer equals [`Self::profile`] on that request alone. The whole
+    /// batch is answered from one epoch — a refresh committing mid-batch
+    /// is observed by the *next* call, never half-way through this one.
     pub fn profile_batch(
         &self,
         requests: &[ProfileRequest],
@@ -846,44 +841,20 @@ impl<'a> ServingEngine<'a> {
         };
         // Borrow each request's observations in place — the read path
         // copies nothing but the answers.
-        let profiles = engine.fold_in_batch_by(requests.len(), |i| &requests[i].observations)?;
+        let records = engine.fold_in_by(requests.len(), |i| &requests[i].observations, false)?;
         let epoch = handle.epoch();
-        Ok(profiles.into_iter().map(|p| ProfileResponse { ranked: p.into(), epoch }).collect())
+        Ok(records
+            .into_iter()
+            .map(|r| ProfileResponse { ranked: r.profile.into(), epoch })
+            .collect())
     }
 
-    /// Profiles each request as an *independent single-user call* sharing
-    /// one epoch read and one scheduler pass: every answer is
-    /// bit-identical to what [`Self::profile`] would return for that
-    /// request alone (each chain pins the singleton RNG stream), so
-    /// grouping requests never changes any of them. This is the serving
-    /// primitive behind [`Self::coalescer`]; for batches whose answers
-    /// should match [`crate::FoldInEngine::fold_in_batch`] semantics
-    /// (index-derived streams), use [`Self::profile_batch`] instead.
+    /// The same as [`Self::profile_batch`].
     pub fn profile_each(
         &self,
         requests: &[ProfileRequest],
     ) -> Result<Vec<ProfileResponse>, EngineError> {
-        let handle = self.snapshot();
-        let engine = FoldInEngine::from_validated_parts(
-            handle.snapshot(),
-            self.gaz,
-            self.fold_in.clone(),
-            handle.inner.parts.clone(),
-        );
-        let profiles =
-            engine.fold_in_singletons_by(requests.len(), |i| &requests[i].observations)?;
-        let epoch = handle.epoch();
-        Ok(profiles.into_iter().map(|p| ProfileResponse { ranked: p.into(), epoch }).collect())
-    }
-
-    /// A bounded group-commit [`Coalescer`] over this engine: concurrent
-    /// single-user [`Coalescer::profile`] calls are grouped into waves of
-    /// up to `max_batch` requests, each wave served through
-    /// [`Self::profile_each`] (one epoch read, one scheduler pass) with
-    /// every answer exactly what a standalone [`Self::profile`] call
-    /// would have returned. See [`crate::coalesce`] for the protocol.
-    pub fn coalescer(&self, max_batch: usize) -> Coalescer<'_, 'a> {
-        Coalescer::new(self, max_batch)
+        self.profile_batch(requests)
     }
 
     /// Absorbs a batch of new users into the posterior and publishes the
@@ -1206,16 +1177,11 @@ impl<'a> ServingEngine<'a> {
     }
 }
 
-/// Panic-free mutex acquisition: a poisoned lock (a panicking reader or
-/// writer elsewhere) still yields the data — the serving path never
-/// compounds one failure into a global outage.
-pub(crate) fn lock<'m, T>(m: &'m Mutex<T>) -> MutexGuard<'m, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// [`lock`] for the writer path (separate fn only for call-site clarity).
+/// Panic-free acquisition of the writer lock: a poisoned lock (a
+/// panicking writer elsewhere) still yields the writer — the serving path
+/// never compounds one failure into a global outage.
 fn lock_writer<'m, 'a>(m: &'m Mutex<Writer<'a>>) -> MutexGuard<'m, Writer<'a>> {
-    lock(m)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -24,10 +24,13 @@
 //! Batching: each user's chain is independent, so
 //! [`FoldInEngine::fold_in_batch`] fans a request slice across
 //! `std::thread::scope` workers that share the read-only snapshot — no
-//! locks, no count merging, nothing to reconcile. Every chain's RNG
-//! stream is derived from the request *index*, not the worker, so a
-//! batched run is bit-identical to the sequential one (pinned by the
-//! warm-start determinism suite).
+//! locks, no count merging, nothing to reconcile. Every chain draws from
+//! the one stream derived from [`FoldInConfig::seed`], so an answer
+//! depends only on the snapshot and its request: not on its position in
+//! a batch, on the other requests beside it, or on the thread count
+//! (pinned by the warm-start determinism suite). One crate-internal
+//! batch primitive serves [`FoldInEngine::fold_in`], the batch calls,
+//! the serving facade and the online absorb path.
 
 use crate::candidacy::popular_cities;
 use crate::config::MlpConfig;
@@ -166,7 +169,8 @@ pub struct FoldInConfig {
     pub sweeps: usize,
     /// Sweeps discarded before `θ̂` accumulation.
     pub burn_in: usize,
-    /// RNG seed; combined with each request's index in the batch.
+    /// RNG seed. Every chain starts from the one stream derived from it,
+    /// so a request gets the same answer alone or anywhere in a batch.
     pub seed: u64,
     /// Candidate fallback size for users with no usable signal.
     pub fallback_popular_k: usize,
@@ -477,15 +481,15 @@ impl<'a> FoldInEngine<'a> {
         &self.config
     }
 
-    /// Folds in a single unseen user (RNG stream of batch index 0).
+    /// Folds in a single unseen user.
     pub fn fold_in(&self, obs: &NewUserObservations) -> Result<FoldInProfile, FoldInError> {
-        self.fold_in_indexed(0, obs, false).map(|r| r.profile)
+        let mut out = self.fold_in_by(1, |_| obs, false)?;
+        Ok(out.pop().expect("one request in, one answer out").profile)
     }
 
     /// Folds in a batch of unseen users. With `threads > 1` the batch is
-    /// chunked across scoped workers sharing the read-only snapshot;
-    /// results are bit-identical to the sequential run because every
-    /// chain's RNG stream depends only on its index in `batch`.
+    /// chunked across scoped workers sharing the read-only snapshot. Each
+    /// answer equals [`Self::fold_in`] on that request alone.
     ///
     /// `threads: 0` behaves as `1` (exact sequential), and a batch shorter
     /// than the thread count simply leaves the surplus workers idle.
@@ -493,34 +497,8 @@ impl<'a> FoldInEngine<'a> {
         &self,
         batch: &[NewUserObservations],
     ) -> Result<Vec<FoldInProfile>, FoldInError> {
-        self.fold_in_batch_by(batch.len(), |i| &batch[i])
-    }
-
-    /// [`Self::fold_in_batch`] fetching each request's observations by
-    /// index — the crate-internal bridge for callers whose batches wrap
-    /// observations in a richer request type
-    /// ([`crate::engine::ServingEngine::profile_batch`]), avoiding an
-    /// intermediate owned copy of every neighbor/mention list.
-    pub(crate) fn fold_in_batch_by<'b>(
-        &self,
-        len: usize,
-        get: impl Fn(usize) -> &'b NewUserObservations + Sync,
-    ) -> Result<Vec<FoldInProfile>, FoldInError> {
-        self.fold_in_each(len, |i| self.fold_in_indexed(i, get(i), false).map(|r| r.profile))
-    }
-
-    /// [`Self::fold_in_batch_by`] with every chain pinned to the RNG
-    /// stream of batch index 0: each answer is bit-identical to a
-    /// standalone [`Self::fold_in`] call on that request alone. This is
-    /// the coalescing contract ([`crate::coalesce`]) — grouping
-    /// concurrent single-user requests into one wave must not change any
-    /// answer, no matter which requests happen to share the wave.
-    pub(crate) fn fold_in_singletons_by<'b>(
-        &self,
-        len: usize,
-        get: impl Fn(usize) -> &'b NewUserObservations + Sync,
-    ) -> Result<Vec<FoldInProfile>, FoldInError> {
-        self.fold_in_each(len, |i| self.fold_in_indexed(0, get(i), false).map(|r| r.profile))
+        let records = self.fold_in_by(batch.len(), |i| &batch[i], false)?;
+        Ok(records.into_iter().map(|r| r.profile).collect())
     }
 
     /// [`Self::fold_in_batch`] returning full [`FoldInRecord`]s — the
@@ -531,28 +509,32 @@ impl<'a> FoldInEngine<'a> {
         &self,
         batch: &[NewUserObservations],
     ) -> Result<Vec<FoldInRecord>, FoldInError> {
-        self.fold_in_each(batch.len(), |i| self.fold_in_indexed(i, &batch[i], true))
+        self.fold_in_by(batch.len(), |i| &batch[i], true)
     }
 
-    /// Shared batch scheduler: chunks request indices `0..len` across
-    /// scoped workers (or runs inline for `threads <= 1`), preserving
-    /// request order.
-    fn fold_in_each<T: Send>(
+    /// The one batch primitive: runs the chain of every request `0..len`,
+    /// fetching its observations through `get` (so callers whose requests
+    /// wrap observations in a richer type, like
+    /// [`crate::engine::ServingEngine::profile_batch`], copy nothing).
+    /// Chunks the requests across scoped workers, or runs inline for
+    /// `threads <= 1`, preserving request order. `collect_venues` also
+    /// fills each record's venue deltas.
+    pub(crate) fn fold_in_by<'b>(
         &self,
         len: usize,
-        run: impl Fn(usize) -> Result<T, FoldInError> + Sync,
-    ) -> Result<Vec<T>, FoldInError> {
+        get: impl Fn(usize) -> &'b NewUserObservations + Sync,
+        collect_venues: bool,
+    ) -> Result<Vec<FoldInRecord>, FoldInError> {
+        let run = |i: usize| self.chain(get(i), collect_venues);
         let threads = self.config.threads.max(1);
-        // Single-request batches never pay the scoped-spawn setup, even
-        // with a multi-threaded configuration: one chain cannot be split,
-        // and inline execution is bit-identical (streams depend only on
-        // the request index, not on which thread runs the chain).
+        // A single request never pays the scoped-spawn setup: one chain
+        // cannot be split, and where it runs cannot change its answer.
         if threads == 1 || len <= 1 {
-            return (0..len).map(&run).collect();
+            return (0..len).map(run).collect();
         }
         let run = &run;
         let chunks = chunk_ranges(len, threads);
-        let outs: Vec<Result<Vec<T>, FoldInError>> = std::thread::scope(|scope| {
+        let outs: Vec<Result<Vec<FoldInRecord>, FoldInError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|range| scope.spawn(move || range.map(run).collect()))
@@ -566,14 +548,13 @@ impl<'a> FoldInEngine<'a> {
         Ok(merged)
     }
 
-    /// One user's complete fold-in chain. `index` is the user's position
-    /// in the request batch; it seeds the chain's RNG stream.
-    /// `collect_venues` additionally accumulates the expected venue-count
-    /// contributions (pure bookkeeping — no extra RNG draws, so profiles
-    /// are identical either way).
-    fn fold_in_indexed(
+    /// One user's complete fold-in chain, seeded from
+    /// [`FoldInConfig::seed`] alone. `collect_venues` additionally
+    /// accumulates the expected venue-count contributions (pure
+    /// bookkeeping — no extra RNG draws, so profiles are identical either
+    /// way).
+    fn chain(
         &self,
-        index: usize,
         obs: &NewUserObservations,
         collect_venues: bool,
     ) -> Result<FoldInRecord, FoldInError> {
@@ -648,8 +629,7 @@ impl<'a> FoldInEngine<'a> {
         };
         let count_noisy = snap.count_noisy_assignments;
 
-        let mut rng =
-            Pcg64::new(SplitMix64::derive(self.config.seed, 0x0F1D_0000_0000_0000 ^ index as u64));
+        let mut rng = Pcg64::new(SplitMix64::derive(self.config.seed, 0x0F1D_0000_0000_0000));
 
         // Init at the conditional mode (the training initialisation
         // transplanted): the candidate maximising aggregate distance
@@ -876,26 +856,6 @@ mod tests {
         let par = par_engine.fold_in_batch(&batch).unwrap();
         assert_eq!(seq, par);
         assert_eq!(determinism_hash(&seq), determinism_hash(&par));
-    }
-
-    #[test]
-    fn single_request_fast_path_is_bit_identical_to_spawned() {
-        // A one-request batch takes the inline no-spawn path even with
-        // `threads: 4`; its answer must stay bit-identical to the same
-        // request served as the head of a spawned multi-request batch
-        // (streams depend only on batch index, never on the executing
-        // thread).
-        let (gaz, data, snap) = train(120, 111);
-        let batch: Vec<NewUserObservations> =
-            (0..8).map(|u| NewUserObservations::from_dataset(&data.dataset, UserId(u))).collect();
-        let engine =
-            FoldInEngine::new(&snap, &gaz, FoldInConfig { threads: 4, ..Default::default() })
-                .unwrap();
-        let spawned = engine.fold_in_batch(&batch).unwrap();
-        let inline = engine.fold_in_batch(&batch[..1]).unwrap();
-        assert_eq!(inline[0], spawned[0]);
-        // And the single-request convenience rides the same fast path.
-        assert_eq!(engine.fold_in(&batch[0]).unwrap(), spawned[0]);
     }
 
     #[test]

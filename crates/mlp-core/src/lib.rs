@@ -44,8 +44,9 @@
 //!   v5 with a 64-byte-aligned section table for zero-copy mapped opens
 //!   and CRC-framed mergeable delta records) for warm-start serving;
 //! * [`infer`] — the fold-in engine predicting *unseen* users against a
-//!   frozen snapshot, sequentially or batched across scoped threads (its
-//!   chain draws mentions with the kernel's mention step);
+//!   frozen snapshot, sequentially or batched across scoped threads,
+//!   through one batch primitive whose answers depend only on the request
+//!   (its chain draws mentions with the kernel's mention step);
 //! * [`online`] — incremental posterior refresh: absorbing new users into
 //!   mergeable [`snapshot::SnapshotDelta`]s and committing them without a
 //!   retrain, under a bounded staleness policy;
@@ -55,15 +56,12 @@
 //!   single-writer refresh). [`snapshot`], [`infer`], and [`online`]
 //!   remain public as the
 //!   low-level layer it is built from;
-//! * [`coalesce`] — group-commit batching of concurrent single-user
-//!   requests over the facade, answer-preserving by construction;
 //! * [`wal`] — the durable write-ahead delta log behind file-backed
 //!   engines: fsync'd CRC-framed records, recovery-on-open that replays
 //!   the committed prefix and truncates torn tails, and atomic artifact
 //!   replacement ([`wal::write_atomic`]).
 
 pub mod candidacy;
-pub mod coalesce;
 pub mod config;
 pub mod count_store;
 pub mod diagnostics;
@@ -84,7 +82,6 @@ pub mod state;
 pub mod wal;
 
 pub use candidacy::Candidacy;
-pub use coalesce::Coalescer;
 pub use config::{ConfigError, MlpConfig, Variant};
 pub use count_store::{VenueCountStore, VenueRow, VenueSupport};
 pub use diagnostics::{Diagnostics, IterationStats};

@@ -32,8 +32,9 @@
 //!
 //! Everything is deterministic: absorbing the same batches in the same
 //! order commits byte-identical artifacts (pinned by the online-refresh
-//! determinism suite), because fold-in chains are seeded by request index
-//! and delta merges are index-wise.
+//! determinism suite), because every fold-in chain draws from the one
+//! seed-derived stream and delta merges are index-wise. An absorbed user's
+//! profile is the answer serving gives that request alone.
 
 use crate::infer::{FoldInConfig, FoldInEngine, FoldInError, FoldInProfile, NewUserObservations};
 use crate::snapshot::{PosteriorSnapshot, SnapshotDelta, SnapshotError};
@@ -180,8 +181,8 @@ impl<'a> OnlineUpdater<'a> {
     /// Folds a batch of new users into the current snapshot and stages
     /// their posterior rows + expected venue counts in the pending delta.
     /// Returns the serving profiles — bit-identical to what
-    /// [`FoldInEngine::fold_in_batch`] would answer for the same batch
-    /// against the same snapshot, so absorbing *is* serving.
+    /// [`FoldInEngine::fold_in`] answers for each request against the same
+    /// snapshot, so absorbing *is* serving.
     ///
     /// Users absorbed in the same pending delta do not see each other (the
     /// same approximation a parallel sweep makes within one chunk); they

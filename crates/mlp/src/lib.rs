@@ -56,11 +56,10 @@ pub mod prelude {
         BaseC, BaseCConfig, BaseU, BaseUConfig, HomeExplainer, HomePredictor, VotingClassifier,
     };
     pub use mlp_core::{
-        Coalescer, ConfigError, EngineBuilder, EngineError, FoldInConfig, FoldInEngine, Mlp,
-        MlpConfig, MlpResult, NewUserObservations, OnlineUpdater, PosteriorSnapshot,
-        ProfileRequest, ProfileResponse, RankedCities, RecoveryReport, RefreshReport,
-        RetrainDecision, RetrainReport, ServingEngine, SnapshotDelta, SnapshotHandle,
-        StalenessPolicy, Variant,
+        ConfigError, EngineBuilder, EngineError, FoldInConfig, FoldInEngine, Mlp, MlpConfig,
+        MlpResult, NewUserObservations, OnlineUpdater, PosteriorSnapshot, ProfileRequest,
+        ProfileResponse, RankedCities, RecoveryReport, RefreshReport, RetrainDecision,
+        RetrainReport, ServingEngine, SnapshotDelta, SnapshotHandle, StalenessPolicy, Variant,
     };
     pub use mlp_eval::{
         drift_for_engine, run_scenario, ExperimentContext, HomeTask, Method, MultiLocationTask,

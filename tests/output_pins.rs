@@ -42,7 +42,7 @@ const PINS: &[(&str, u64)] = &[
     ("default/threads=4", 0x26307b5ee623a7e4),
     ("default/shards=2", 0xa5dfb80452f0cb1f),
     ("default/shards=3", 0xfbdcb194b35bbc82),
-    ("default/fold_in", 0x051f099d1233e0c8),
+    ("default/fold_in", 0xa77c1d1f2fdcb2f0),
     ("default/gibbs_em", 0x9c2b4aab160cbe87),
     ("default/run", 0xef8cdfd626054a47),
     ("count_noisy/threads=1", 0x17eef9a41551fd10),
@@ -50,7 +50,7 @@ const PINS: &[(&str, u64)] = &[
     ("count_noisy/threads=4", 0x31468c260e212d62),
     ("count_noisy/shards=2", 0xd9c8cc2111c954dc),
     ("count_noisy/shards=3", 0xfaa8c6768efcc782),
-    ("count_noisy/fold_in", 0x6cc0d18c6429412f),
+    ("count_noisy/fold_in", 0xa502804243ecf5d6),
     ("count_noisy/gibbs_em", 0xb8c148d7edeab3cd),
     ("count_noisy/run", 0xb69c1f272ca643c7),
 ];

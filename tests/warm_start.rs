@@ -89,13 +89,41 @@ fn thawed_artifact_serves_identically_to_the_original() {
 }
 
 #[test]
-fn single_profile_matches_batch_head() {
-    let (gaz, data, snapshot) = train_snapshot(120, 3007);
-    let batch = requests(&data, 10);
-    let serving = engine(&gaz, &snapshot, FoldInConfig::default());
-    let whole = serving.profile_batch(&batch).unwrap();
-    // `profile` is defined as batch index 0.
-    assert_eq!(serving.profile(&batch[0]).unwrap(), whole[0]);
+fn answers_depend_only_on_their_request() {
+    // θ̂ is the user's own profile (Eq. 10): its position in a batch, the
+    // requests beside it, the thread count and the absorb path must not
+    // change it. Each batch answer equals the request served alone, and
+    // the reversed batch gives the reversed answers.
+    let (gaz, data, snapshot) = train_snapshot(160, 3007);
+    let reqs = requests(&data, 40);
+    let obs: Vec<NewUserObservations> = reqs.iter().map(|r| r.observations.clone()).collect();
+    let rev_reqs: Vec<ProfileRequest> = reqs.iter().rev().cloned().collect();
+    let rev_obs: Vec<NewUserObservations> = obs.iter().rev().cloned().collect();
+    for threads in [1usize, 4] {
+        let fold_in = FoldInConfig { threads, ..Default::default() };
+        let low = FoldInEngine::new(&snapshot, &gaz, fold_in.clone()).unwrap();
+        let alone: Vec<_> = obs.iter().map(|o| low.fold_in(o).unwrap()).collect();
+        let mut updater =
+            OnlineUpdater::new(&gaz, snapshot.clone(), fold_in.clone(), StalenessPolicy::default())
+                .unwrap();
+        let serving = engine(&gaz, &snapshot, fold_in);
+        let served_alone: Vec<_> = reqs.iter().map(|r| serving.profile(r).unwrap()).collect();
+
+        let mut rev_alone = alone.clone();
+        rev_alone.reverse();
+        let mut rev_served = served_alone.clone();
+        rev_served.reverse();
+        for (batch, want) in [(&obs, &alone), (&rev_obs, &rev_alone)] {
+            assert_eq!(
+                &low.fold_in_batch(batch).unwrap(),
+                want,
+                "fold_in_batch, threads={threads}"
+            );
+            assert_eq!(&updater.absorb(batch).unwrap(), want, "absorb, threads={threads}");
+        }
+        assert_eq!(serving.profile_batch(&reqs).unwrap(), served_alone, "threads={threads}");
+        assert_eq!(serving.profile_batch(&rev_reqs).unwrap(), rev_served, "threads={threads}");
+    }
 }
 
 #[test]
