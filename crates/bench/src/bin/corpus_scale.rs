@@ -74,6 +74,9 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    if a.iters == 0 {
+        return Err("--iters must be at least 1".into());
+    }
     a.sizes.sort_unstable();
     Ok(a)
 }
@@ -120,7 +123,7 @@ fn main() {
         let engine = ServingEngine::builder(&gaz)
             .mlp_config(MlpConfig {
                 iterations: a.iters,
-                burn_in: (a.iters / 2).max(1),
+                burn_in: a.iters / 2,
                 seed: a.seed,
                 ..Default::default()
             })

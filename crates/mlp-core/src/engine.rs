@@ -34,6 +34,11 @@
 //!   only on its epoch and its request: alone, in any batch, at any
 //!   thread count, or absorbed by a refresh. Refresh commits publish
 //!   byte-identical artifacts on repeat runs.
+//! * **One delta log** — an artifact is always the folded posterior
+//!   ([`ServingEngine::encode_artifact`] is `try_encode` of the published
+//!   epoch). A file-backed engine keeps its committed deltas in the
+//!   sidecar write-ahead log ([`crate::wal`]) until a checkpoint folds
+//!   the log into a fresh base artifact and re-binds the log to it.
 //!
 //! The building blocks stay public as the low-level layer; this module is
 //! the API applications are expected to use.
@@ -597,6 +602,7 @@ impl<'a> EngineBuilder<'a> {
             wal,
             artifact_path: path.to_path_buf(),
             compact_threshold: self.compact_threshold,
+            unbound: None,
         };
         self.adopt_with(snapshot, Some(durable), Some(report))
     }
@@ -610,8 +616,8 @@ impl<'a> EngineBuilder<'a> {
 
     /// [`Self::adopt`] with the durable sidecar state attached. The
     /// replayed snapshot already contains every recovered delta, so the
-    /// updater's base payload is the *recovered* state — its future
-    /// commits extend the existing log, never re-log history.
+    /// updater starts from the *recovered* state — its future commits
+    /// extend the existing log, never re-log history.
     fn adopt_with(
         self,
         snapshot: PosteriorSnapshot,
@@ -652,6 +658,27 @@ struct Durable {
     wal: DeltaWal,
     artifact_path: PathBuf,
     compact_threshold: u64,
+    /// The fingerprint of a base a checkpoint wrote but has not yet
+    /// re-bound the log to. Until [`Self::bind`] succeeds the log on disk
+    /// still cites the replaced base, so recovery would set it aside — a
+    /// record appended to it would be lost.
+    unbound: Option<u64>,
+}
+
+impl Durable {
+    /// Re-binds the log to the base the last checkpoint wrote, if a
+    /// failed reset left it citing the previous base; a no-op otherwise.
+    /// Every append runs this first.
+    fn bind(&mut self) -> Result<(), WalError> {
+        if let Some(fingerprint) = self.unbound {
+            self.wal.reset(fingerprint)?;
+            self.unbound = None;
+            // A checkpoint obsoletes every earlier set-aside log; keep
+            // only the newest one as a post-mortem artifact.
+            self.wal.age_stale_siblings();
+        }
+        Ok(())
+    }
 }
 
 /// Everything behind the writer mutex: the authoritative updater plus
@@ -931,13 +958,18 @@ impl<'a> ServingEngine<'a> {
     /// published — the fsync is the commit point. A crash after the
     /// append replays the delta on reopen (identical to an uninterrupted
     /// run); a crash before it never published, so nothing is lost
-    /// either. After publish, a log past its size threshold is folded
+    /// either. A log a failed checkpoint left bound to the replaced base
+    /// is re-bound first; if that fails the refresh fails with nothing
+    /// staged. After publish, a log past its size threshold is folded
     /// into a fresh base artifact ([`Self::checkpoint`] semantics).
     fn absorb_commit_publish(
         &self,
         writer: &mut Writer<'a>,
         batch: Vec<NewUserObservations>,
     ) -> Result<RefreshReport, EngineError> {
+        if let Some(durable) = writer.durable.as_mut() {
+            durable.bind()?;
+        }
         let profiles = writer.updater.absorb(&batch)?;
         if let Some(durable) = writer.durable.as_mut() {
             if !writer.updater.pending_delta().is_empty() {
@@ -992,7 +1024,9 @@ impl<'a> ServingEngine<'a> {
     /// engines without a durable sidecar. Crash-ordered: the new base is
     /// durable before the log resets, so dying between the two steps
     /// leaves a base that already contains the log — recovery detects
-    /// the fingerprint mismatch and sets the stale log aside.
+    /// the fingerprint mismatch and sets the stale log aside. If the
+    /// reset fails, the error is returned and the engine re-binds the
+    /// log before its next append (a refresh fails typed until it can).
     pub fn checkpoint(&self) -> Result<bool, EngineError> {
         let mut writer = lock_writer(&self.writer);
         if writer.durable.is_none() {
@@ -1003,15 +1037,22 @@ impl<'a> ServingEngine<'a> {
     }
 
     fn checkpoint_locked(&self, writer: &mut Writer<'a>) -> Result<(), EngineError> {
-        let bytes = writer.updater.snapshot().try_encode()?;
-        let was_mapped = writer.updater.snapshot().is_zero_copy();
+        self.write_base(writer)?;
+        writer.durable.as_mut().expect("written above").bind()?;
+        Ok(())
+    }
+
+    /// The first half of a checkpoint: encodes the writer's posterior,
+    /// atomically replaces the base artifact with it, and marks the log
+    /// unbound (re-bound by [`Durable::bind`]). On error nothing on disk
+    /// changed. The encoded bytes are dropped once written.
+    fn write_base(&self, writer: &mut Writer<'a>) -> Result<(), EngineError> {
         let durable = writer.durable.as_mut().expect("checkpoint requires the durable sidecar");
+        let bytes = writer.updater.snapshot().try_encode()?;
         write_atomic(&durable.artifact_path, bytes.as_slice())?;
-        durable.wal.reset(artifact_fingerprint(bytes.as_slice()))?;
-        // A checkpoint obsoletes every earlier set-aside log; keep only
-        // the newest one as a post-mortem artifact.
-        durable.wal.age_stale_siblings();
-        if was_mapped {
+        durable.unbound = Some(artifact_fingerprint(bytes.as_slice()));
+        drop(bytes);
+        if writer.updater.snapshot().is_zero_copy() {
             // Remap: the engine was serving slabs out of the old mapping
             // plus materialized overlay tails. The artifact just written
             // contains all of it, so swapping in a zero-copy view of the
@@ -1025,12 +1066,12 @@ impl<'a> ServingEngine<'a> {
                 let open =
                     PosteriorSnapshot::open_mapped_with(&Arc::new(map), Integrity::Structural);
                 if let Ok(snap) = open {
-                    writer.updater.rebase_onto(snap, bytes);
+                    writer.updater.rebase_onto(snap);
                     return Ok(());
                 }
             }
         }
-        writer.updater.rebase(bytes);
+        writer.updater.rebase();
         Ok(())
     }
 
@@ -1119,8 +1160,11 @@ impl<'a> ServingEngine<'a> {
     /// mid-train is superseded by the retrained posterior — `dataset` is
     /// the authoritative world. On durable engines the retrained base is
     /// checkpointed (atomic artifact replace + log reset) *before* it is
-    /// published; if that fails, the pre-retrain state stays installed
-    /// and serving, and the error is returned typed.
+    /// published. If the artifact cannot be replaced, the pre-retrain
+    /// state stays installed and serving, and the error is returned
+    /// typed. Once it is replaced the retrain stands: a log reset that
+    /// fails then is retried before the next append, and refreshes fail
+    /// typed until it succeeds.
     pub fn retrain_from_dataset(
         &self,
         dataset: &Dataset,
@@ -1132,15 +1176,17 @@ impl<'a> ServingEngine<'a> {
         let updater = OnlineUpdater::new(self.gaz, snapshot, self.fold_in.clone(), self.policy)?;
         let mut writer = lock_writer(&self.writer);
         let previous = std::mem::replace(&mut writer.updater, updater);
-        let checkpointed = if writer.durable.is_some() {
-            if let Err(e) = self.checkpoint_locked(&mut writer) {
+        let checkpointed = writer.durable.is_some();
+        if checkpointed {
+            if let Err(e) = self.write_base(&mut writer) {
                 writer.updater = previous;
                 return Err(e);
             }
-            true
-        } else {
-            false
-        };
+            // The retrained base is on disk now, so it is installed
+            // whether or not the log re-binds here; a failed bind is
+            // retried before the next append.
+            writer.durable.as_mut().expect("checked above").bind().ok();
+        }
         let next = self.publish(&writer);
         self.commits_published.store(writer.updater.commits(), Ordering::Release);
         self.stale.store(writer.updater.needs_refresh(), Ordering::Release);
@@ -1151,20 +1197,14 @@ impl<'a> ServingEngine<'a> {
         })
     }
 
-    /// Merges the committed delta history into one record, bounding the
-    /// published artifact's size (semantics preserved; see
-    /// [`OnlineUpdater::compact`] for the f64-ulp caveat).
-    pub fn compact(&self) -> Result<(), EngineError> {
-        lock_writer(&self.writer).updater.compact().map_err(EngineError::from)
-    }
-
-    /// Encodes the current posterior as a publishable artifact: the base
-    /// payload captured at build plus one record per refresh commit —
-    /// byte-identical across repeat runs of the same refresh sequence.
+    /// Encodes the published posterior as an artifact: the folded
+    /// posterior, never a base plus delta records, so repeat runs of the
+    /// same refresh sequence give byte-identical bytes. Reads the
+    /// published epoch, so it never waits on a refresh in progress.
     /// Thaws (via [`EngineBuilder::from_artifact`] or
     /// [`PosteriorSnapshot::decode`]) back to the published posterior.
     pub fn encode_artifact(&self) -> Result<Bytes, EngineError> {
-        lock_writer(&self.writer).updater.encode_artifact().map_err(EngineError::from)
+        Ok(self.current().snapshot.try_encode()?)
     }
 
     /// [`Self::encode_artifact`] straight to a file, written atomically

@@ -41,8 +41,9 @@
 //! * [`diagnostics`] — per-iteration convergence telemetry (Fig. 5);
 //! * [`model`] — the [`Mlp`] façade tying it together, and [`MlpResult`];
 //! * [`snapshot`] — frozen posterior artifacts (versioned binary codec,
-//!   v5 with a 64-byte-aligned section table for zero-copy mapped opens
-//!   and CRC-framed mergeable delta records) for warm-start serving;
+//!   v5 with a 64-byte-aligned section table for zero-copy mapped opens;
+//!   an artifact is always a folded posterior) and the mergeable
+//!   [`snapshot::SnapshotDelta`] for warm-start serving;
 //! * [`infer`] — the fold-in engine predicting *unseen* users against a
 //!   frozen snapshot, sequentially or batched across scoped threads,
 //!   through one batch primitive whose answers depend only on the request
@@ -57,9 +58,11 @@
 //!   remain public as the
 //!   low-level layer it is built from;
 //! * [`wal`] — the durable write-ahead delta log behind file-backed
-//!   engines: fsync'd CRC-framed records, recovery-on-open that replays
-//!   the committed prefix and truncates torn tails, and atomic artifact
-//!   replacement ([`wal::write_atomic`]).
+//!   engines, the only on-disk home of a committed delta until a
+//!   checkpoint folds it into the base: fsync'd CRC-framed records,
+//!   recovery-on-open that replays the committed prefix and truncates
+//!   torn tails, and atomic artifact replacement
+//!   ([`wal::write_atomic`]).
 
 pub mod candidacy;
 pub mod config;

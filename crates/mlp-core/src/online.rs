@@ -21,8 +21,6 @@
 //!   committed users become first-class — later requests can reference
 //!   them as neighbors, and their venue evidence sharpens `φ` for
 //!   everyone;
-//! * **compact** — merge the commit history into one delta, bounding the
-//!   artifact's record count;
 //! * **bounded staleness** — deltas are an approximation (absorbed users
 //!   are folded in against frozen counts; trained users' rows never
 //!   move), so a [`StalenessPolicy`] says when the accumulated error
@@ -30,17 +28,20 @@
 //!   drift metric (e.g. the `mlp-eval` drift report comparing refreshed
 //!   vs cold-retrained accuracy) crosses a threshold.
 //!
+//! The updater persists nothing. A committed delta reaches disk only as
+//! a record of the durable engine's write-ahead log ([`crate::wal`]),
+//! and every artifact is the folded posterior
+//! ([`PosteriorSnapshot::try_encode`] of [`OnlineUpdater::snapshot`]).
+//!
 //! Everything is deterministic: absorbing the same batches in the same
-//! order commits byte-identical artifacts (pinned by the online-refresh
+//! order commits byte-identical posteriors (pinned by the online-refresh
 //! determinism suite), because every fold-in chain draws from the one
 //! seed-derived stream and delta merges are index-wise. An absorbed user's
 //! profile is the answer serving gives that request alone.
 
 use crate::infer::{FoldInConfig, FoldInEngine, FoldInError, FoldInProfile, NewUserObservations};
 use crate::snapshot::{PosteriorSnapshot, SnapshotDelta, SnapshotError};
-use bytes::Bytes;
 use mlp_gazetteer::Gazetteer;
-use std::sync::OnceLock;
 
 /// Errors raised while building an [`OnlineUpdater`] — either the serving
 /// side (snapshot/gazetteer mismatch) or the format side (unencodable
@@ -109,13 +110,6 @@ pub struct OnlineUpdater<'a> {
     snapshot: PosteriorSnapshot,
     fold_in: FoldInConfig,
     policy: StalenessPolicy,
-    /// The base artifact (a v5 encode of the snapshot as of the last
-    /// rebase, empty delta section), captured *lazily* — on the first
-    /// commit or publish, whichever comes first — so merely opening a
-    /// model (especially a mapped one) never pays an arena encode.
-    /// Publishing an update then rewrites the trailing delta section
-    /// instead of re-encoding the arenas.
-    base_artifact: OnceLock<Bytes>,
     /// Snapshot-derived fold-in state (noise models, hyper-parameters,
     /// popular fallback), derived once here — delta commits never change
     /// it — so each absorb rebinds a fold-in engine without re-walking
@@ -150,7 +144,6 @@ impl<'a> OnlineUpdater<'a> {
             snapshot,
             fold_in,
             policy,
-            base_artifact: OnceLock::new(),
             parts,
             pending: SnapshotDelta::new(base_users),
             committed: Vec::new(),
@@ -237,45 +230,25 @@ impl<'a> OnlineUpdater<'a> {
         &self.pending
     }
 
-    /// Re-anchors the updater on its current snapshot: the base-artifact
-    /// cache is reset to `artifact` — the caller's just-checkpointed
-    /// encoding of the live posterior — and the commit history is
-    /// cleared. Used after log compaction checkpoints the full state to
-    /// disk: the history is already folded into the new base artifact,
-    /// so keeping the records would double-apply them. The commit
-    /// *count* driving the staleness policy is untouched.
-    pub(crate) fn rebase(&mut self, artifact: Bytes) {
-        self.base_artifact = OnceLock::new();
-        let _ = self.base_artifact.set(artifact);
+    /// Re-anchors the updater on its current snapshot: the commit
+    /// history is cleared. Used after a checkpoint folds the full state
+    /// into a fresh base artifact, which already holds the history. The
+    /// commit *count* driving the staleness policy is untouched.
+    pub(crate) fn rebase(&mut self) {
         self.committed.clear();
     }
 
     /// [`Self::rebase`] that also swaps in a replacement snapshot (the
     /// checkpoint remap path: the freshly written v5 artifact reopened
-    /// zero-copy) and seeds the base-artifact cache with the bytes that
-    /// were just written, so the next publish is again incremental.
+    /// zero-copy).
     ///
     /// The caller guarantees `snapshot` is logically identical to the
-    /// current one and `artifact` is its encoding — both debug-asserted.
-    pub(crate) fn rebase_onto(&mut self, snapshot: PosteriorSnapshot, artifact: Bytes) {
+    /// current one (debug-asserted).
+    pub(crate) fn rebase_onto(&mut self, snapshot: PosteriorSnapshot) {
         debug_assert_eq!(snapshot.num_users(), self.snapshot.num_users());
         debug_assert_eq!(snapshot.gaz_fingerprint, self.snapshot.gaz_fingerprint);
         self.snapshot = snapshot;
-        self.base_artifact = OnceLock::new();
-        let _ = self.base_artifact.set(artifact);
-        self.committed.clear();
-    }
-
-    /// Captures the base artifact if it has not been captured since the
-    /// last rebase. Must run *before* a commit mutates the snapshot —
-    /// after that the snapshot is base + history and re-encoding it would
-    /// double-apply the records appended at publish time.
-    fn ensure_base_artifact(&self) -> Result<&Bytes, SnapshotError> {
-        if let Some(bytes) = self.base_artifact.get() {
-            return Ok(bytes);
-        }
-        let encoded = self.snapshot.try_encode()?;
-        Ok(self.base_artifact.get_or_init(|| encoded))
+        self.rebase();
     }
 
     /// Commits the pending delta into the snapshot; returns how many
@@ -286,9 +259,6 @@ impl<'a> OnlineUpdater<'a> {
         if self.pending.is_empty() {
             return Ok(0);
         }
-        // The base artifact must be frozen before the first mutation
-        // since rebase; later commits find it already cached.
-        self.ensure_base_artifact()?;
         self.snapshot.apply_delta(&self.pending)?;
         let n = self.pending.num_new_users();
         let next = SnapshotDelta::new(self.snapshot.num_users() as u32);
@@ -302,30 +272,9 @@ impl<'a> OnlineUpdater<'a> {
         self.commits
     }
 
-    /// The committed delta history, in apply order.
+    /// The committed delta history since the last rebase, in apply order.
     pub fn committed_deltas(&self) -> &[SnapshotDelta] {
         &self.committed
-    }
-
-    /// Merges the commit history into a single delta, bounding the
-    /// artifact's record count. Semantically equivalent — user rows
-    /// concatenate exactly; `φ` cells touched by several commits can
-    /// differ in the final f64 ulp because their weights pre-sum before
-    /// the base add. (The commit *count* driving the staleness policy is
-    /// deliberately untouched — compaction bounds artifact size, not
-    /// approximation error.)
-    pub fn compact(&mut self) -> Result<(), SnapshotError> {
-        if self.committed.len() <= 1 {
-            return Ok(());
-        }
-        // Merge into a scratch copy so a failed merge (impossible for a
-        // history this updater built, but typed anyway) changes nothing.
-        let mut compacted = self.committed[0].clone();
-        for d in &self.committed[1..] {
-            compacted.merge(d)?;
-        }
-        self.committed = vec![compacted];
-        Ok(())
     }
 
     /// Records an externally measured drift metric (e.g.
@@ -347,18 +296,6 @@ impl<'a> OnlineUpdater<'a> {
     pub fn needs_refresh(&self) -> bool {
         (self.policy.refresh_after_commits > 0 && self.commits >= self.policy.refresh_after_commits)
             || self.last_drift > self.policy.drift_threshold
-    }
-
-    /// Encodes the refreshed posterior as a v5 artifact: the base bytes
-    /// captured at the last rebase with the trailing delta section
-    /// rewritten to hold every committed delta as a CRC-framed record.
-    /// Decoding replays the records, so the result thaws equal to
-    /// [`Self::snapshot`]. Publishing after another commit rewrites only
-    /// the delta section and two checksums — the arena sections never
-    /// re-encode.
-    pub fn encode_artifact(&self) -> Result<Bytes, SnapshotError> {
-        let base = self.ensure_base_artifact()?;
-        crate::snapshot::v5_set_delta_section(base.as_slice(), &self.committed)
     }
 }
 
@@ -477,49 +414,6 @@ mod tests {
         assert!(!fresh.needs_refresh());
         fresh.record_drift(0.2);
         assert!(fresh.needs_refresh(), "drift over threshold");
-    }
-
-    #[test]
-    fn compaction_preserves_the_artifact_semantics() {
-        let (gaz, data, snap) = trained(140, 911);
-        let base_users = snap.num_users();
-        let mut updater =
-            OnlineUpdater::new(&gaz, snap, FoldInConfig::default(), StalenessPolicy::default())
-                .unwrap();
-        for start in [120u32, 130u32] {
-            let batch = new_user_batch(&data, base_users, start..start + 10);
-            updater.absorb(&batch).unwrap();
-            updater.commit().unwrap();
-        }
-        assert_eq!(updater.committed_deltas().len(), 2);
-        let artifact = updater.encode_artifact().unwrap();
-        updater.compact().unwrap();
-        assert_eq!(updater.committed_deltas().len(), 1);
-        let compacted = updater.encode_artifact().unwrap();
-        assert!(compacted.len() < artifact.len(), "compaction must shrink the record section");
-        let a = PosteriorSnapshot::decode(artifact).unwrap();
-        let b = PosteriorSnapshot::decode(compacted).unwrap();
-        // The uncompacted artifact replays the exact commit sequence —
-        // byte-identical to the live snapshot.
-        assert_eq!(&a, updater.snapshot());
-        // Compaction pre-sums venue weights before the base add, so
-        // overlapping φ cells can differ in the last f64 bit
-        // ((base + w₁) + w₂ vs base + (w₁ + w₂)); everything else —
-        // user rows, hyperparameters, support layout — is exact.
-        assert_eq!(a.users, b.users);
-        assert_eq!(a.num_users(), b.num_users());
-        for l in 0..a.num_cities {
-            let city = mlp_gazetteer::CityId(l);
-            let (ra, rb): (Vec<_>, Vec<_>) =
-                (a.venues.row(city).collect(), b.venues.row(city).collect());
-            assert_eq!(ra.len(), rb.len(), "city {l} support diverged");
-            for ((va, ca), (vb, cb)) in ra.iter().zip(&rb) {
-                assert_eq!(va, vb, "city {l} venue ids diverged");
-                assert!((ca - cb).abs() < 1e-9, "city {l} venue {va}: {ca} vs {cb}");
-            }
-            let (ta, tb) = (a.venues.city_total(city), b.venues.city_total(city));
-            assert!((ta - tb).abs() < 1e-9, "city {l} total: {ta} vs {tb}");
-        }
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //! therefore build the snapshot once offline, ship the bytes to replicas,
 //! and answer fold-in queries against a shared read-only copy — no locks,
 //! no count merging, because frozen counts never mutate.
+//!
+//! An artifact is always a *folded* posterior. Online refresh
+//! ([`crate::online`]) commits [`SnapshotDelta`]s in memory, and a
+//! committed delta's only on-disk form is its record payload in the
+//! durable engine's sidecar write-ahead log ([`crate::wal`]) until a
+//! checkpoint folds the log into a fresh base — the database-file /
+//! log split of SQLite's `journal_mode=WAL`. The v5 layout keeps its
+//! final section, which always holds a zero `u32` record count; a
+//! non-zero count (an artifact written by an older build) fails typed.
 
 use crate::config::{MlpConfig, Variant};
 use crate::count_store::VenueRow;
@@ -39,14 +48,13 @@ const MAGIC: u32 = 0x4D4C_5053; // "MLPS"
 /// The one format version this build reads and writes: v5 = a
 /// 64-byte-aligned section table over the CSR slabs (fixed-width
 /// little-endian, per-section CRC32s) so each slab can be reinterpreted
-/// in place from a mapped file, followed by a [`SnapshotDelta`] record
-/// section of CRC-framed records (`u64` length + `u32` IEEE CRC of the
-/// payload). Every other version, older or newer, fails with the typed
-/// [`SnapshotError::UnsupportedVersion`].
+/// in place from a mapped file, followed by a final section holding a
+/// zero `u32` record count. Every other version, older or newer, fails
+/// with the typed [`SnapshotError::UnsupportedVersion`].
 const VERSION: u16 = 5;
 
 /// IEEE CRC32 (the zlib/PNG polynomial), slicing-by-8, no external
-/// crates. Frames every delta record and every WAL record, and
+/// crates. Frames every WAL record, and
 /// checksums every v5 section — a mapped open verifies whole slabs with
 /// it, so the wide variant matters: it runs several times faster than the
 /// byte-at-a-time loop while producing identical digests.
@@ -654,10 +662,9 @@ impl VenueArena {
 /// rows live in their own [`UserArena`], and `φ` increments are a
 /// sorted-unique COO (`(city, venue) → weight`) that
 /// [`PosteriorSnapshot::apply_delta`] merges index-wise into the venue
-/// CSR. Deltas compose: [`Self::merge`] concatenates consecutive deltas
-/// into one (compaction), and the artifact ships them as CRC-framed
-/// records after the base sections, so a serving replica
-/// can refresh by appending records instead of re-downloading the model.
+/// CSR. On disk a delta exists only as one record of the sidecar
+/// write-ahead log ([`crate::wal::DeltaWal`]), until a checkpoint folds
+/// it into a fresh base artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotDelta {
     /// User count of the snapshot this delta appends after — the first
@@ -747,27 +754,7 @@ impl SnapshotDelta {
         }
     }
 
-    /// Compacts `next` into `self`: the combined delta applies both in
-    /// order. `next` must apply exactly where `self` leaves off
-    /// (`next.base_users == self.base_users + self.num_new_users()`), or
-    /// the merge is rejected with a typed error and `self` is unchanged.
-    pub fn merge(&mut self, next: &SnapshotDelta) -> Result<(), SnapshotError> {
-        if next.base_users as u64 != self.base_users as u64 + self.users.num_users() as u64 {
-            return Err(SnapshotError::Corrupt("delta sequence gap: base user count mismatch"));
-        }
-        self.users.extend_from(&next.users)?;
-        let coo: Vec<(CityId, VenueId, f64)> = next
-            .venue_cities
-            .iter()
-            .zip(&next.venue_ids)
-            .zip(&next.venue_weights)
-            .map(|((&l, &v), &w)| (CityId(l), VenueId(v), w))
-            .collect();
-        self.add_venue_weights(&coo);
-        Ok(())
-    }
-
-    /// Serialised record size in bytes (excluding the length prefix).
+    /// Serialised record payload size in bytes.
     fn record_len(&self) -> u64 {
         let n = self.users.num_users() as u64;
         let nnz = self.users.num_entries() as u64;
@@ -775,18 +762,8 @@ impl SnapshotDelta {
         4 + 4 + 4 + (n + 1) * 4 + nnz * 20 + n * 20 + 4 + vnz * 16
     }
 
-    /// Appends the framed record: `u64` payload byte length, `u32` IEEE
-    /// CRC32 of the payload, then the payload itself.
-    pub(crate) fn encode_record(&self, buf: &mut BytesMut) -> Result<(), SnapshotError> {
-        let payload = self.encode_record_payload()?;
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_u32_le(crc32(payload.as_slice()));
-        buf.extend_from_slice(payload.as_slice());
-        Ok(())
-    }
-
-    /// The bare record payload (no framing) — shared by the artifact's
-    /// delta section and the sidecar WAL, which adds its own framing.
+    /// The bare record payload (no framing) — what the sidecar WAL
+    /// frames and appends.
     pub(crate) fn encode_record_payload(&self) -> Result<Bytes, SnapshotError> {
         let n = u32::try_from(self.users.num_users())
             .map_err(|_| SnapshotError::TooLarge("delta user count exceeds u32::MAX"))?;
@@ -830,27 +807,6 @@ impl SnapshotDelta {
             buf.put_f64_le(w);
         }
         Ok(buf.freeze())
-    }
-
-    /// Parses one framed record. The `u64` length prefix is checked
-    /// against the remaining buffer *before* any slab is sized (an absurd
-    /// declared length is a typed error, not an allocation), the `u32`
-    /// IEEE CRC32 is verified before the payload is parsed, and a record
-    /// that does not consume exactly its declared bytes is rejected.
-    pub(crate) fn decode_record(buf: &mut Bytes) -> Result<Self, SnapshotError> {
-        need64(buf, 12)?;
-        let declared = buf.get_u64_le();
-        let len = usize::try_from(declared)
-            .map_err(|_| SnapshotError::Overflow("delta record length prefix"))?;
-        let crc = buf.get_u32_le();
-        if buf.remaining() < len {
-            return Err(SnapshotError::Truncated);
-        }
-        let rec = buf.split_to(len);
-        if crc32(rec.as_slice()) != crc {
-            return Err(SnapshotError::Corrupt("delta record checksum mismatch"));
-        }
-        Self::decode_record_payload(rec)
     }
 
     /// Parses a bare record payload whose framing (length and CRC) has
@@ -1015,40 +971,13 @@ impl PosteriorSnapshot {
     /// Serialises the snapshot into the current (v5) binary format: a
     /// 64-byte-aligned section table over fixed-width little-endian slabs
     /// with per-section CRC32s, ready to be reinterpreted in place by a
-    /// mapped open, plus an empty delta record section.
+    /// mapped open, plus the final section's zero record count.
     ///
     /// The format's `u32` slab limits (> 4 Gi candidate entries —
     /// hundreds of GiB of state) surface as the typed
     /// [`SnapshotError::TooLarge`]; there is deliberately no panicking
     /// variant, so no serving process can abort on an oversized encode.
     pub fn try_encode(&self) -> Result<Bytes, SnapshotError> {
-        self.encode_with_deltas(&[])
-    }
-
-    /// Serialises this snapshot as a v5 *base* followed by `deltas` as
-    /// CRC-framed records in the trailing delta section. Decoding replays
-    /// the records onto the base, so the artifact thaws to the refreshed
-    /// posterior — and a publisher can ship an update by rewriting the
-    /// (final) delta section and patching its table entry instead of
-    /// re-encoding the arenas
-    /// ([`crate::online::OnlineUpdater::encode_artifact`] does exactly
-    /// that via the crate-internal `v5_set_delta_section`).
-    pub fn encode_with_deltas(&self, deltas: &[SnapshotDelta]) -> Result<Bytes, SnapshotError> {
-        let mut delta_section = BytesMut::new();
-        append_delta_section(&mut delta_section, deltas)?;
-        self.encode_v5(delta_section.as_slice())
-    }
-
-    /// Whether this snapshot borrows its slabs from a mapped artifact
-    /// (zero-copy open) rather than owning them.
-    pub fn is_zero_copy(&self) -> bool {
-        self.users.is_zero_copy() || self.venues.is_zero_copy()
-    }
-
-    /// The v5 writer: prelude + section table + aligned sections +
-    /// `delta_section` (already framed: `u32` count + CRC-framed records)
-    /// as the final, variable-length section.
-    fn encode_v5(&self, delta_section: &[u8]) -> Result<Bytes, SnapshotError> {
         let (n32, nnz32, cities32, vnz32) = self.slab_counts()?;
         let lens = v5_section_lens(
             n32 as u64,
@@ -1063,9 +992,7 @@ impl PosteriorSnapshot {
             offs[i] = cur;
             cur = v5_align(cur + len);
         }
-        offs[V5_NUM_SECTIONS - 1] = cur;
-        let deltas_len = delta_section.len() as u64;
-        let total = usize::try_from(cur + deltas_len)
+        let total = usize::try_from(offs[V5_NUM_SECTIONS - 1] + V5_DELTAS_LEN)
             .map_err(|_| SnapshotError::Overflow("snapshot byte length"))?;
         let mut out = vec![0u8; total];
 
@@ -1151,12 +1078,10 @@ impl PosteriorSnapshot {
                 w.f64(t);
             }
         }
-        let d_off = offs[V5_NUM_SECTIONS - 1] as usize;
-        out[d_off..d_off + delta_section.len()].copy_from_slice(delta_section);
+        // The final section is its zero record count, already in place.
 
         // Section table (13 × 32-byte entries at byte 96), then header CRC.
-        for i in 0..V5_NUM_SECTIONS {
-            let len = if i < V5_NUM_SECTIONS - 1 { lens[i] } else { deltas_len };
+        for (i, &len) in lens.iter().enumerate() {
             let off = offs[i] as usize;
             let crc = crc32(&out[off..off + len as usize]);
             let e = V5_PRELUDE_LEN + i * V5_ENTRY_LEN;
@@ -1168,6 +1093,12 @@ impl PosteriorSnapshot {
         let hcrc = crc32(&out[..V5_HEADER_LEN]);
         out[V5_HEADER_LEN..V5_HEADER_LEN + 4].copy_from_slice(&hcrc.to_le_bytes());
         Ok(Bytes::from(out))
+    }
+
+    /// Whether this snapshot borrows its slabs from a mapped artifact
+    /// (zero-copy open) rather than owning them.
+    pub fn is_zero_copy(&self) -> bool {
+        self.users.is_zero_copy() || self.venues.is_zero_copy()
     }
 
     /// The arena sizes as checked `u32`s.
@@ -1247,31 +1178,12 @@ impl PosteriorSnapshot {
         )
     }
 
-    /// Decodes an artifact produced by [`Self::try_encode`] /
-    /// [`Self::encode_with_deltas`]; delta records are replayed onto the
-    /// base so the result is the refreshed posterior. This is the
+    /// Decodes an artifact produced by [`Self::try_encode`]. This is the
     /// *copying* path — the same parser as [`Self::open_mapped`], but
     /// every slab is copied to owned memory.
     pub fn decode(buf: Bytes) -> Result<Self, SnapshotError> {
         Self::thaw_v5(buf.as_slice(), None, Integrity::Full)
     }
-}
-
-/// Appends the delta section — `u32` record count + CRC-framed records —
-/// the one framing shared by [`PosteriorSnapshot::encode_with_deltas`]
-/// and the updater's incremental
-/// [`crate::online::OnlineUpdater::encode_artifact`].
-pub(crate) fn append_delta_section(
-    buf: &mut BytesMut,
-    deltas: &[SnapshotDelta],
-) -> Result<(), SnapshotError> {
-    let count = u32::try_from(deltas.len())
-        .map_err(|_| SnapshotError::TooLarge("delta record count exceeds u32::MAX"))?;
-    buf.put_u32_le(count);
-    for d in deltas {
-        d.encode_record(buf)?;
-    }
-    Ok(())
 }
 
 /// Fails with [`SnapshotError::Truncated`] when `buf` holds fewer than `n`
@@ -1320,8 +1232,8 @@ fn check_offset_table(offsets: &[u32], nnz: u32) -> Result<(), SnapshotError> {
 //   512      crc32 over bytes [0, 512)
 //   516      zero padding
 //   576      sections, each 64-byte aligned, in table order; DELTAS last
-//            (u32 record count + CRC-framed records), ending exactly at
-//            the file's end
+//            (a u32 record count, always zero), ending exactly at the
+//            file's end
 //
 // Fixed alignment plus per-section CRCs is what lets a mapped open
 // reinterpret every slab in place: validate the header, checksum the
@@ -1333,6 +1245,9 @@ pub(crate) const V5_HEADER_LEN: usize = 512;
 pub(crate) const V5_DATA_START: usize = 576;
 const V5_ALIGN: u64 = 64;
 pub(crate) const V5_NUM_SECTIONS: usize = 13;
+/// The final section: a `u32` record count, always zero — committed
+/// deltas live in the sidecar WAL, never in an artifact.
+const V5_DELTAS_LEN: u64 = 4;
 
 /// Section names in table order (a section's `kind` tag is its 1-based
 /// index here).
@@ -1357,8 +1272,8 @@ fn v5_align(x: u64) -> u64 {
     (x + (V5_ALIGN - 1)) & !(V5_ALIGN - 1)
 }
 
-/// Byte lengths of the twelve fixed-shape sections, derived from the
-/// prelude counts; the trailing deltas section is variable (0 here).
+/// Byte lengths of the thirteen sections: twelve derived from the
+/// prelude counts, then the final record count.
 fn v5_section_lens(
     n: u64,
     nnz: u64,
@@ -1379,7 +1294,7 @@ fn v5_section_lens(
         vnz * 4,
         vnz * 8,
         cities * 8,
-        0,
+        V5_DELTAS_LEN,
     ]
 }
 
@@ -1547,8 +1462,8 @@ fn parse_v5(s: &[u8], integrity: Integrity) -> Result<V5Header, SnapshotError> {
         expected = v5_align(end);
     }
     let (d_off, d_len, _) = sections[V5_NUM_SECTIONS - 1];
-    // The delta section always carries at least its u32 record count.
-    if d_len < 4 {
+    // The final section always carries at least its u32 record count.
+    if d_len < V5_DELTAS_LEN {
         return Err(SnapshotError::Truncated);
     }
     if d_off + d_len != s.len() as u64 {
@@ -1560,6 +1475,14 @@ fn parse_v5(s: &[u8], integrity: Integrity) -> Result<V5Header, SnapshotError> {
                 return Err(SnapshotError::Corrupt("section checksum mismatch"));
             }
         }
+    }
+    if u32_at(s, d_off as usize) != 0 {
+        return Err(SnapshotError::Corrupt(
+            "artifact holds delta records; re-encode it with an older build's checkpoint",
+        ));
+    }
+    if d_len != V5_DELTAS_LEN {
+        return Err(SnapshotError::Corrupt("trailing bytes after snapshot"));
     }
 
     Ok(V5Header {
@@ -1704,10 +1627,7 @@ impl PosteriorSnapshot {
     /// Thaws a v5 artifact from its full byte range. With `keep` — an
     /// owner of the bytes, e.g. a mapped file — the slabs are borrowed
     /// zero-copy when byte order and alignment allow; without it, or on
-    /// any misalignment, every slab is copied to owned memory. Either way
-    /// the delta section is replayed onto the base (records only — never
-    /// the slabs), so a mapped open does O(slabs) validation but O(deltas)
-    /// materialization.
+    /// any misalignment, every slab is copied to owned memory.
     fn thaw_v5(
         s: &[u8],
         keep: Option<Arc<dyn Any + Send + Sync>>,
@@ -1740,7 +1660,7 @@ impl PosteriorSnapshot {
             slabs.venue_counts,
             slabs.venue_city_totals,
         );
-        let mut snap = Self {
+        Ok(Self {
             variant: h.variant,
             count_noisy_assignments: h.count_noisy_assignments,
             tau: h.tau,
@@ -1756,19 +1676,7 @@ impl PosteriorSnapshot {
             gaz_fingerprint: h.gaz_fingerprint,
             users,
             venues,
-        };
-        let (d_off, d_len, _) = h.sections[V5_NUM_SECTIONS - 1];
-        let mut dbuf = Bytes::from(s[d_off as usize..(d_off + d_len) as usize].to_vec());
-        need64(&dbuf, 4)?;
-        let n_deltas = dbuf.get_u32_le();
-        for _ in 0..n_deltas {
-            let record = SnapshotDelta::decode_record(&mut dbuf)?;
-            snap.apply_delta(&record)?;
-        }
-        if dbuf.has_remaining() {
-            return Err(SnapshotError::Corrupt("trailing bytes after snapshot"));
-        }
-        Ok(snap)
+        })
     }
 
     /// Opens an artifact zero-copy from a mapped file: validate header
@@ -1799,44 +1707,6 @@ impl PosteriorSnapshot {
         map.advise(mmap_lite::Advice::Random);
         Ok(snap)
     }
-}
-
-/// Rewrites the (final) delta section of an existing v5 artifact: one
-/// memcpy of everything before the deltas, fresh CRC-framed records, a
-/// patched table entry and header CRC. The incremental publish path —
-/// the arena sections are never re-encoded or re-checksummed.
-pub(crate) fn v5_set_delta_section(
-    base: &[u8],
-    deltas: &[SnapshotDelta],
-) -> Result<Bytes, SnapshotError> {
-    if base.len() < V5_DATA_START {
-        return Err(SnapshotError::Truncated);
-    }
-    let magic = u32_at(base, 0);
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic(magic));
-    }
-    let version = u16::from_le_bytes([base[4], base[5]]);
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let e = V5_PRELUDE_LEN + (V5_NUM_SECTIONS - 1) * V5_ENTRY_LEN;
-    let d_off = u64_at(base, e + 8);
-    if d_off < V5_DATA_START as u64 || d_off > base.len() as u64 {
-        return Err(SnapshotError::Truncated);
-    }
-    let d_off = d_off as usize;
-    let mut section = BytesMut::new();
-    append_delta_section(&mut section, deltas)?;
-    let mut out = Vec::with_capacity(d_off + section.len());
-    out.extend_from_slice(&base[..d_off]);
-    out.extend_from_slice(section.as_slice());
-    let crc = crc32(section.as_slice());
-    out[e + 16..e + 24].copy_from_slice(&(section.len() as u64).to_le_bytes());
-    out[e + 24..e + 28].copy_from_slice(&crc.to_le_bytes());
-    let hcrc = crc32(&out[..V5_HEADER_LEN]);
-    out[V5_HEADER_LEN..V5_HEADER_LEN + 4].copy_from_slice(&hcrc.to_le_bytes());
-    Ok(Bytes::from(out))
 }
 
 /// Per-section metadata surfaced by [`inspect_artifact`].
@@ -1871,8 +1741,6 @@ pub struct ArtifactInfo {
     pub venue_nnz: u32,
     /// Training-gazetteer fingerprint.
     pub gaz_fingerprint: u64,
-    /// Delta records in the artifact's trailing section.
-    pub delta_records: u32,
     /// Whole-artifact size in bytes.
     pub total_bytes: u64,
     /// The v5 section table.
@@ -1886,7 +1754,6 @@ pub const CURRENT_ARTIFACT_VERSION: u16 = VERSION;
 /// from the section table alone (O(header) plus the CRC pass).
 pub fn inspect_artifact(s: &[u8]) -> Result<ArtifactInfo, SnapshotError> {
     let h = parse_v5(s, Integrity::Full)?;
-    let (d_off, _, _) = h.sections[V5_NUM_SECTIONS - 1];
     Ok(ArtifactInfo {
         version: VERSION,
         variant: h.variant,
@@ -1896,7 +1763,6 @@ pub fn inspect_artifact(s: &[u8]) -> Result<ArtifactInfo, SnapshotError> {
         user_nnz: h.user_nnz,
         venue_nnz: h.venue_nnz,
         gaz_fingerprint: h.gaz_fingerprint,
-        delta_records: u32_at(s, d_off as usize),
         total_bytes: s.len() as u64,
         sections: h
             .sections
@@ -1997,12 +1863,12 @@ mod tests {
         );
     }
 
-    /// Artifacts with delta records thaw to the refreshed posterior, and
-    /// structurally invalid records fail with typed errors — home outside
-    /// candidates, negative venue weights, record checksum and length
-    /// mismatches all caught before the state mutates.
+    /// A delta applies exactly — appended rows and `φ` increments land
+    /// where they should — and structurally invalid deltas (home outside
+    /// the candidates, negative venue weights) fail typed before the
+    /// state mutates.
     #[test]
-    fn delta_records_round_trip_and_validate() {
+    fn deltas_apply_exactly_and_validate_before_mutating() {
         let base = trained_snapshot(30, 50);
         let mut delta = SnapshotDelta::new(base.num_users() as u32);
         delta.push_user(UserPosterior {
@@ -2015,22 +1881,19 @@ mod tests {
         });
         delta.add_venue_weights(&[(CityId(1), VenueId(0), 1.5), (CityId(5), VenueId(2), 0.5)]);
 
-        let artifact = base.encode_with_deltas(std::slice::from_ref(&delta)).unwrap();
-        let thawed = PosteriorSnapshot::decode(artifact).unwrap();
-        assert_eq!(thawed.num_users(), base.num_users() + 1);
-        let added = thawed.users.user(UserId(base.num_users() as u32));
+        let mut applied = base.clone();
+        applied.apply_delta(&delta).unwrap();
+        assert_eq!(applied.num_users(), base.num_users() + 1);
+        let added = applied.users.user(UserId(base.num_users() as u32));
         assert_eq!(added.home, CityId(1));
         assert_eq!(added.mean_counts, &[3.0, 1.0]);
         assert_eq!(
-            thawed.venue_count(CityId(1), VenueId(0)),
+            applied.venue_count(CityId(1), VenueId(0)),
             base.venue_count(CityId(1), VenueId(0)) + 1.5
         );
-        assert_eq!(thawed.venues.city_total(CityId(5)), base.venues.city_total(CityId(5)) + 0.5);
-
-        // Same delta applied in memory matches the decoded artifact.
-        let mut applied = base.clone();
-        applied.apply_delta(&delta).unwrap();
-        assert_eq!(applied, thawed);
+        assert_eq!(applied.venues.city_total(CityId(5)), base.venues.city_total(CityId(5)) + 0.5);
+        // The folded artifact round-trips the applied posterior.
+        assert_eq!(PosteriorSnapshot::decode(applied.try_encode().unwrap()).unwrap(), applied);
 
         // Home outside candidates: typed, pre-mutation.
         let mut bad = SnapshotDelta::new(base.num_users() as u32);
@@ -2049,74 +1912,77 @@ mod tests {
         );
         assert_eq!(target, base, "failed apply must not mutate");
 
-        // Negative venue weight: rejected wherever it arrives from.
+        // Negative venue weight: rejected, and again nothing moves.
         let mut negative = SnapshotDelta::new(base.num_users() as u32);
         negative.add_venue_weights(&[(CityId(0), VenueId(0), -1.0)]);
         assert_eq!(
             target.apply_delta(&negative).unwrap_err(),
             SnapshotError::Corrupt("delta venue weight not finite-nonnegative")
         );
-        let encoded = base.encode_with_deltas(std::slice::from_ref(&negative)).unwrap();
-        assert_eq!(
-            PosteriorSnapshot::decode(encoded).unwrap_err(),
-            SnapshotError::Corrupt("delta venue weight not finite-nonnegative")
-        );
+        assert_eq!(target, base, "failed apply must not mutate");
+    }
 
-        // The per-record CRC on its own: a structural open skips the
-        // section CRCs, so the record checksum is the only guard left.
-        // A record that lies about its length (prefix inflated, the file
-        // padded so the record under-consumes instead of truncating) fails
-        // it before a single slab is parsed, and so does a bit flip inside
-        // a record payload.
-        let artifact = base.encode_with_deltas(std::slice::from_ref(&delta)).unwrap().to_vec();
-        let rec_len = delta.record_len() as usize;
-        let mut lying = artifact.clone();
-        let prefix_at = lying.len() - rec_len - 4 - 8;
-        lying[prefix_at..prefix_at + 8].copy_from_slice(&(delta.record_len() + 8).to_le_bytes());
-        lying.extend_from_slice(&[0u8; 8]);
-        // Grow the delta section's table entry to match and re-seal the
-        // header, so only the record framing is wrong.
+    /// An artifact whose final section holds records (what an older
+    /// build's `encode_artifact` wrote) fails typed on every read path —
+    /// the copying decode, both mapped integrity modes and the engine's
+    /// file open — whether the count alone is non-zero or a whole framed
+    /// record follows it. Every checksum is re-sealed, so the record
+    /// count is what the open rejects.
+    #[test]
+    fn artifacts_holding_delta_records_fail_typed() {
+        let gaz = Gazetteer::us_cities();
+        let base = trained_snapshot(20, 54);
+        let raw = base.try_encode().unwrap().to_vec();
         let e = V5_PRELUDE_LEN + (V5_NUM_SECTIONS - 1) * V5_ENTRY_LEN;
-        let d_len = u64_at(&lying, e + 16) + 8;
-        lying[e + 16..e + 24].copy_from_slice(&d_len.to_le_bytes());
-        let hcrc = crc32(&lying[..V5_HEADER_LEN]);
-        lying[V5_HEADER_LEN..V5_HEADER_LEN + 4].copy_from_slice(&hcrc.to_le_bytes());
-        let mut flipped = artifact;
-        let payload_at = flipped.len() - rec_len;
-        flipped[payload_at + 5] ^= 0x10;
-        let dir = std::env::temp_dir().join(format!("mlp_snap_rec_{}", std::process::id()));
+        let d_off = u64_at(&raw, e + 8) as usize;
+        let with_section = |section: &[u8]| {
+            let mut out = raw[..d_off].to_vec();
+            out.extend_from_slice(section);
+            out[e + 16..e + 24].copy_from_slice(&(section.len() as u64).to_le_bytes());
+            out[e + 24..e + 28].copy_from_slice(&crc32(section).to_le_bytes());
+            let hcrc = crc32(&out[..V5_HEADER_LEN]);
+            out[V5_HEADER_LEN..V5_HEADER_LEN + 4].copy_from_slice(&hcrc.to_le_bytes());
+            out
+        };
+        let mut delta = SnapshotDelta::new(base.num_users() as u32);
+        delta.push_user(UserPosterior {
+            candidates: vec![CityId(0), CityId(4)],
+            gammas: vec![0.3, 0.1],
+            mean_counts: vec![2.0, 1.0],
+            mean_total: 3.0,
+            gamma_total: 0.4,
+            home: CityId(4),
+        });
+        let payload = delta.encode_record_payload().unwrap();
+        let mut framed = 1u32.to_le_bytes().to_vec();
+        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        framed.extend_from_slice(&crc32(payload.as_slice()).to_le_bytes());
+        framed.extend_from_slice(payload.as_slice());
+
+        let want = SnapshotError::Corrupt(
+            "artifact holds delta records; re-encode it with an older build's checkpoint",
+        );
+        let dir = std::env::temp_dir().join(format!("mlp_snap_records_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for (tag, bytes) in [("lying", &lying), ("flipped", &flipped)] {
+        for (tag, bytes) in
+            [("count", with_section(&7u32.to_le_bytes())), ("record", with_section(&framed))]
+        {
+            let copied = PosteriorSnapshot::decode(Bytes::from(bytes.clone()));
+            assert_eq!(copied.unwrap_err(), want, "{tag}: decode");
             let path = dir.join(format!("{tag}.mlps"));
-            std::fs::write(&path, bytes).unwrap();
+            std::fs::write(&path, &bytes).unwrap();
             let map = Arc::new(mmap_lite::Mmap::open(&path).unwrap());
-            assert_eq!(
-                PosteriorSnapshot::open_mapped_with(&map, Integrity::Structural).unwrap_err(),
-                SnapshotError::Corrupt("delta record checksum mismatch"),
-                "{tag}"
-            );
-            // A full open trips the section checksum first.
-            assert_eq!(
-                PosteriorSnapshot::open_mapped(&map).unwrap_err(),
-                SnapshotError::Corrupt("section checksum mismatch"),
-                "{tag}"
+            for integrity in [Integrity::Full, Integrity::Structural] {
+                let mapped = PosteriorSnapshot::open_mapped_with(&map, integrity);
+                assert_eq!(mapped.unwrap_err(), want, "{tag}: open_mapped_with {integrity:?}");
+            }
+            let engine = crate::engine::ServingEngine::builder(&gaz).from_artifact_file(&path);
+            assert!(
+                matches!(engine, Err(crate::engine::EngineError::Snapshot(ref e)) if *e == want),
+                "{tag}: from_artifact_file"
             );
         }
         std::fs::remove_dir_all(dir).ok();
-
-        // A record whose CRC covers padding past its payload still fails:
-        // it must consume exactly its declared bytes.
-        let mut padded = delta.encode_record_payload().unwrap().to_vec();
-        padded.extend_from_slice(&[0u8; 8]);
-        let mut section = BytesMut::new();
-        section.put_u32_le(1);
-        section.put_u64_le(padded.len() as u64);
-        section.put_u32_le(crc32(&padded));
-        section.extend_from_slice(&padded);
-        assert_eq!(
-            PosteriorSnapshot::decode(base.encode_v5(section.as_slice()).unwrap()).unwrap_err(),
-            SnapshotError::Corrupt("delta record longer than its payload")
-        );
     }
 
     /// Bytes past the end of a well-formed artifact mean a stale
@@ -2133,7 +1999,7 @@ mod tests {
         );
     }
 
-    /// Delta sequence gaps are rejected at merge and apply time.
+    /// A delta that does not start where the snapshot ends is rejected.
     #[test]
     fn delta_sequencing_is_enforced() {
         let base = trained_snapshot(20, 51);
@@ -2152,11 +2018,7 @@ mod tests {
             target.apply_delta(&with_user).unwrap_err(),
             SnapshotError::Corrupt("delta base user count mismatch")
         );
-        let mut first = SnapshotDelta::new(base.num_users() as u32);
-        assert_eq!(
-            first.merge(&with_user).unwrap_err(),
-            SnapshotError::Corrupt("delta sequence gap: base user count mismatch")
-        );
+        assert_eq!(target, base, "failed apply must not mutate");
     }
 
     /// Legacy (v1–v4) artifacts fail with the typed version error on
@@ -2221,7 +2083,6 @@ mod tests {
         let info = inspect_artifact(raw.as_slice()).unwrap();
         assert_eq!(info.version, VERSION);
         assert_eq!(info.num_users as usize, snap.num_users());
-        assert_eq!(info.delta_records, 0);
         assert_eq!(info.total_bytes as usize, raw.len());
         assert_eq!(info.sections.len(), V5_NUM_SECTIONS);
         let mut cursor = V5_DATA_START as u64;
@@ -2235,6 +2096,8 @@ mod tests {
         }
         let last = info.sections.last().unwrap();
         assert_eq!((last.offset + last.len) as usize, raw.len(), "deltas end at file end");
+        assert_eq!(last.len, V5_DELTAS_LEN, "the final section is the record count alone");
+        assert_eq!(u32_at(raw.as_slice(), last.offset as usize), 0, "an artifact holds no records");
     }
 
     #[test]
@@ -2256,34 +2119,6 @@ mod tests {
         );
 
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn v5_delta_patching_matches_a_fresh_encode() {
-        let base = trained_snapshot(25, 58);
-        let mut delta = SnapshotDelta::new(base.num_users() as u32);
-        delta.push_user(UserPosterior {
-            candidates: vec![CityId(0), CityId(4)],
-            gammas: vec![0.3, 0.1],
-            mean_counts: vec![2.0, 1.0],
-            mean_total: 3.0,
-            gamma_total: 0.4,
-            home: CityId(4),
-        });
-        delta.add_venue_weights(&[(CityId(0), VenueId(3), 2.0)]);
-
-        let fresh = base.encode_with_deltas(std::slice::from_ref(&delta)).unwrap();
-        let patched = v5_set_delta_section(
-            base.try_encode().unwrap().as_slice(),
-            std::slice::from_ref(&delta),
-        )
-        .unwrap();
-        assert_eq!(fresh.as_slice(), patched.as_slice(), "patching == fresh encode");
-        assert_eq!(inspect_artifact(patched.as_slice()).unwrap().delta_records, 1);
-
-        let mut applied = base.clone();
-        applied.apply_delta(&delta).unwrap();
-        assert_eq!(PosteriorSnapshot::decode(patched).unwrap(), applied);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! artifact and truncates the torn tail; it never trusts, and never
 //! parses, bytes that fail their frame or checksum.
 //!
+//! The log is the only on-disk home of a committed delta: an artifact is
+//! always a folded posterior, never a base plus records. A checkpoint
+//! folds the log into a fresh base and re-binds the log to it, as
+//! SQLite's `journal_mode=WAL` checkpoints its log into the database
+//! file.
+//!
 //! The base artifact itself is only ever replaced atomically
 //! ([`write_atomic`]: temp file + `sync_all` + rename + directory
 //! fsync), so the pair on disk is always one of:
@@ -17,7 +23,9 @@
 //! * old base + old log — the checkpoint never happened;
 //! * new base + old log — detected by the fingerprint in the log header
 //!   and the stale log is set aside, because the new base already
-//!   contains everything the log held;
+//!   contains everything the log held (a live engine whose reset failed
+//!   re-binds the log before it appends again, so no record lands in a
+//!   log recovery would set aside);
 //! * new base + fresh log — the checkpoint completed.
 //!
 //! No crash point leaves a state that decodes to something the process
@@ -445,6 +453,37 @@ mod tests {
         assert_eq!(rec.torn_bytes, 0);
         assert!(rec.stale_moved_to.is_none() && !rec.created);
         assert_eq!(reopened.len(), len);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A frame whose CRC is valid survived the crash intact, so a payload
+    /// that fails to parse — here one that runs past its declared
+    /// contents — is writer-side corruption: a typed error, never a
+    /// silently dropped tail.
+    #[test]
+    fn crc_valid_record_longer_than_its_payload_fails_typed() {
+        let dir = tmp_dir("padded");
+        let path = dir.join("model.mlps.wal");
+        let fp = artifact_fingerprint(b"base");
+        drop(DeltaWal::create(&path, fp).unwrap());
+        let mut padded = sample_delta(5, 1).encode_record_payload().unwrap().to_vec();
+        padded.extend_from_slice(&[0u8; 8]);
+        let mut raw = std::fs::read(&path).unwrap();
+        raw.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
+        raw.extend_from_slice(&(padded.len() as u64).to_le_bytes());
+        raw.extend_from_slice(&crc32(&padded).to_le_bytes());
+        raw.extend_from_slice(&padded);
+        std::fs::write(&path, &raw).unwrap();
+
+        let err = DeltaWal::recover(&path, fp).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WalError::Record(SnapshotError::Corrupt("delta record longer than its payload"))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), raw, "a failed recovery truncates nothing");
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -25,8 +25,8 @@
 //! leaving the rest to arrive later); `refresh` thaws the artifact into an
 //! engine and absorbs every dataset user beyond the trained count —
 //! committing posterior deltas batch by batch, one published epoch per
-//! commit, no retrain — then writes the refreshed artifact (base payload +
-//! delta records).
+//! commit, no retrain — then writes the refreshed artifact, every commit
+//! folded in.
 //!
 //! Every artifact write is atomic (temp file + fsync + rename), and
 //! `refresh` opens the snapshot on the durable path: each commit is
@@ -336,9 +336,9 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let written = engine.write_artifact(out).map_err(|e| format!("writing {out}: {e}"))?;
             println!(
-                "wrote {out}: {} users, {} delta records, {written} bytes{}",
+                "wrote {out}: {} users, {} commits folded, {written} bytes{}",
                 engine.snapshot().num_users(),
-                engine.commits(),
+                report.commits.len(),
                 if report.needs_retrain {
                     " (staleness policy: schedule a cold retrain)"
                 } else {
@@ -399,7 +399,6 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             println!("  gazetteer fingerprint {:016x}", info.gaz_fingerprint);
             println!("  artifact fingerprint  {:016x}", mlp::core::wal::artifact_fingerprint(&raw));
-            println!("  embedded delta records: {}", info.delta_records);
             println!("  section table ({} sections, 64-byte aligned):", info.sections.len());
             for s in &info.sections {
                 println!(

@@ -1,7 +1,7 @@
 //! Online posterior refresh end to end, through the [`ServingEngine`]
 //! facade: cold-train on yesterday's users, absorb today's signups with
 //! `refresh_from_dataset` (each committed batch publishes a new epoch —
-//! no retrain), publish the incremental artifact, and verify a replica
+//! no retrain), publish the refreshed artifact, and verify a replica
 //! thaws it to exactly the refreshed posterior.
 //!
 //! ```sh
@@ -9,10 +9,9 @@
 //! ```
 //!
 //! The example doubles as a smoke check for the refresh pipeline: it
-//! asserts that refresh answers match plain serving, that the incremental
-//! artifact (base payload + delta records) decodes back to the published
-//! posterior, and that a second identical run commits byte-identical
-//! artifacts.
+//! asserts that the artifact — the folded posterior, every commit in its
+//! arenas — decodes back to the published posterior, and that a second
+//! identical run commits byte-identical artifacts.
 
 use mlp::prelude::*;
 use std::time::Instant;
@@ -52,8 +51,8 @@ fn main() {
         engine.commits()
     );
 
-    // Publish: base payload + delta records, appended per commit.
-    let artifact = engine.encode_artifact().unwrap();
+    // Publish: the folded posterior, every commit in its arenas.
+    let artifact = engine.snapshot().try_encode().unwrap();
     println!(
         "refreshed posterior: {} users, epoch {}, artifact = {} KiB",
         engine.snapshot().num_users(),
@@ -61,7 +60,7 @@ fn main() {
         artifact.len() / 1024
     );
 
-    // A replica thaws the incremental artifact to the exact posterior.
+    // A replica thaws the artifact to the exact posterior.
     let replica =
         ServingEngine::builder(&gaz).from_artifact(artifact).expect("artifact thaws into engine");
     assert_eq!(
@@ -74,8 +73,8 @@ fn main() {
     // byte-identical bytes.
     let (again, _) = run_refresh(&gaz, &data);
     assert_eq!(
-        engine.encode_artifact().unwrap(),
-        again.encode_artifact().unwrap(),
+        engine.snapshot().try_encode().unwrap(),
+        again.snapshot().try_encode().unwrap(),
         "repeat refresh must publish byte-identical artifacts"
     );
 

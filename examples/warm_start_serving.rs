@@ -38,7 +38,7 @@ fn main() {
     let config = MlpConfig { iterations: 12, burn_in: 6, seed: 42, ..Default::default() };
     let trainer = ServingEngine::builder(&gaz).mlp_config(config).train(&train).unwrap();
     let trained_in = t0.elapsed();
-    let bytes = trainer.encode_artifact().unwrap();
+    let bytes = trainer.snapshot().try_encode().unwrap();
     println!(
         "trained {} users in {trained_in:.2?}; snapshot = {} KiB",
         train.num_users() - unseen.len(),

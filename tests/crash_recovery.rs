@@ -6,11 +6,14 @@
 //! delta; (c) fold the log into a fresh base artifact atomically
 //! (checkpoint), with the crash window between base replacement and log
 //! reset detected by fingerprint and the stale log set aside, never
-//! replayed.
+//! replayed; (d) re-bind a log whose reset failed before appending to it
+//! again.
 
 use mlp::core::engine::response_determinism_hash;
 use mlp::core::snapshot::UserPosterior;
-use mlp::core::wal::{artifact_fingerprint, write_atomic, DeltaWal, RECORD_MAGIC, WAL_HEADER_LEN};
+use mlp::core::wal::{
+    artifact_fingerprint, write_atomic, DeltaWal, WalError, RECORD_MAGIC, WAL_HEADER_LEN,
+};
 use mlp::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -242,6 +245,98 @@ fn stale_log_is_set_aside_when_the_base_moved_on() {
         full_state,
         "the new base already contains the stale log's deltas — nothing lost"
     );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A checkpoint whose log reset fails after the new base is in place
+/// leaves the log citing the replaced base. A record appended to that log
+/// would be set aside on reopen and lost, so the engine re-binds the log
+/// before its next append — and refuses a refresh, with nothing staged,
+/// logged or published, while it cannot.
+#[test]
+fn failed_log_reset_is_rebound_before_the_next_append() {
+    let dir = tmp_dir("rebind");
+    let path = dir.join("model.mlps");
+    let wal_path = DeltaWal::sidecar_path(&path);
+    let (gaz, data) = corpus(80, 9011);
+    write_base(&gaz, &data, 60, 9011, &path);
+
+    let engine = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let first: Vec<UserId> = (60..70).map(UserId).collect();
+    engine.refresh_from_dataset(&data.dataset, &first, 10).unwrap();
+
+    // A directory where the reset builds its temp log: the base is
+    // replaced, then the reset fails.
+    let blocker = dir.join("model.mlps.wal.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    let err = engine.checkpoint().unwrap_err();
+    assert!(matches!(err, EngineError::Wal(WalError::Io(_))), "{err:?}");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        engine.snapshot().try_encode().unwrap().as_slice(),
+        "the base was replaced before the reset failed"
+    );
+
+    // Blocked: the refresh is refused and changes nothing.
+    let log_before = std::fs::read(&wal_path).unwrap();
+    let second: Vec<UserId> = (70..80).map(UserId).collect();
+    let err = engine.refresh_from_dataset(&data.dataset, &second, 10).unwrap_err();
+    assert!(matches!(err, EngineError::Wal(WalError::Io(_))), "{err:?}");
+    assert_eq!(engine.epoch(), 1, "a refused refresh must not publish");
+    assert_eq!(engine.snapshot().num_users(), 70);
+    assert_eq!(std::fs::read(&wal_path).unwrap(), log_before, "a refused refresh logs nothing");
+
+    // Unblocked: the refresh re-binds the log to the new base and commits.
+    std::fs::remove_dir(&blocker).unwrap();
+    engine.refresh_from_dataset(&data.dataset, &second, 10).unwrap();
+    assert_eq!(engine.snapshot().num_users(), 80);
+    let live = engine.snapshot().try_encode().unwrap();
+    drop(engine);
+
+    let reopened = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let report = reopened.recovery_report().unwrap();
+    assert!(report.stale_log_moved_to.is_none(), "the log was re-bound, not left stale");
+    assert_eq!(report.replayed_records, 1, "only the post-checkpoint commit is in the log");
+    assert_eq!(reopened.snapshot().num_users(), 80, "no commit lost");
+    assert_eq!(reopened.snapshot().try_encode().unwrap(), live);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A retrain whose checkpoint replaced the base but could not reset the
+/// log stands: the retrained posterior is what the artifact holds, so it
+/// is installed and published, and the log is re-bound before the next
+/// append exactly as after a failed checkpoint.
+#[test]
+fn retrain_stands_once_its_base_is_written() {
+    let dir = tmp_dir("retrain_rebind");
+    let path = dir.join("model.mlps");
+    let (gaz, data) = corpus(80, 9013);
+    write_base(&gaz, &data, 60, 9013, &path);
+
+    let engine = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let blocker = dir.join("model.mlps.wal.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    let report = engine.retrain_from_dataset(&data.dataset.prefix(70), quick_config(9014)).unwrap();
+    assert!(report.checkpointed);
+    assert_eq!((report.epoch, report.trained_users), (1, 70));
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        engine.snapshot().try_encode().unwrap().as_slice(),
+        "the installed posterior is the one on disk"
+    );
+
+    let late: Vec<UserId> = (70..80).map(UserId).collect();
+    let err = engine.refresh_from_dataset(&data.dataset, &late, 10).unwrap_err();
+    assert!(matches!(err, EngineError::Wal(WalError::Io(_))), "{err:?}");
+    std::fs::remove_dir(&blocker).unwrap();
+    engine.refresh_from_dataset(&data.dataset, &late, 10).unwrap();
+    let live = engine.snapshot().try_encode().unwrap();
+    drop(engine);
+
+    let reopened = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    assert!(reopened.recovery_report().unwrap().stale_log_moved_to.is_none());
+    assert_eq!(reopened.snapshot().num_users(), 80);
+    assert_eq!(reopened.snapshot().try_encode().unwrap(), live);
     std::fs::remove_dir_all(dir).ok();
 }
 

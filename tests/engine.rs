@@ -99,7 +99,7 @@ fn refresh_matches_the_hand_wired_updater_byte_for_byte() {
     assert_eq!(report.appended(), 60);
     assert_eq!(
         engine.encode_artifact().unwrap().as_slice(),
-        updater.encode_artifact().unwrap().as_slice(),
+        updater.snapshot().try_encode().unwrap().as_slice(),
         "facade refresh must publish byte-identical artifacts to the hand-wired loop"
     );
     assert_eq!(engine.snapshot().snapshot(), updater.snapshot());

@@ -154,8 +154,12 @@ fn crc32_ieee(data: &[u8]) -> u32 {
 
 mod posterior_proptests {
     use super::*;
+    use mlp::core::wal::{artifact_fingerprint, DeltaWal};
     use mlp::geo::PowerLaw;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static CASE: AtomicUsize = AtomicUsize::new(0);
 
     /// Arbitrary small-but-structurally-valid posterior snapshot, built
     /// directly (not via training) so the codec is exercised on shapes the
@@ -296,36 +300,33 @@ mod posterior_proptests {
             }
         }
 
-        /// Artifacts carrying delta records thaw to exactly the base
-        /// with the delta applied — for arbitrary snapshot/delta shapes,
-        /// including empty deltas, empty user rows, and venue cells
-        /// outside the base support.
+        /// A committed delta's only on-disk form is its WAL record: for
+        /// arbitrary snapshot/delta shapes — including empty deltas, empty
+        /// user rows, and venue cells outside the base support — appending
+        /// it to a log, recovering the log and applying what recovery
+        /// returns lands on exactly the posterior an in-memory apply gives.
         #[test]
-        fn delta_artifacts_replay_exactly((snap, delta) in arb_posterior_with_delta()) {
-            // Venue cells must target real venues; arb caps ids at
-            // max(num_venues, 1), so skip the degenerate no-venue shape
-            // when the delta actually carries cells.
-            prop_assume!(snap.num_venues > 0 || delta.is_empty());
-            let artifact = snap.encode_with_deltas(std::slice::from_ref(&delta)).unwrap();
-            let thawed = PosteriorSnapshot::decode(artifact).unwrap();
+        fn wal_replayed_deltas_apply_exactly((snap, delta) in arb_posterior_with_delta()) {
+            let case = CASE.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("mlp_pipeline_wal_{}_{case}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("model.mlps.wal");
+            let fingerprint = artifact_fingerprint(snap.try_encode().unwrap().as_slice());
+            let mut wal = DeltaWal::create(&path, fingerprint).unwrap();
+            wal.append(&delta).unwrap();
+            drop(wal);
+            let (_, found) = DeltaWal::recover(&path, fingerprint).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+
+            let mut replayed = snap.clone();
+            for d in &found.deltas {
+                replayed.apply_delta(d).unwrap();
+            }
             let mut applied = snap.clone();
             applied.apply_delta(&delta).unwrap();
-            prop_assert_eq!(applied, thawed);
-        }
-
-        /// Truncating a delta-carrying artifact anywhere still fails with
-        /// a typed error — never a panic, never a silent partial replay.
-        #[test]
-        fn delta_artifact_truncation_never_panics(
-            (snap, delta) in arb_posterior_with_delta(),
-            frac in 0.0f64..1.0,
-        ) {
-            prop_assume!(snap.num_venues > 0 || delta.is_empty());
-            let bytes = snap.encode_with_deltas(std::slice::from_ref(&delta)).unwrap();
-            let cut = ((bytes.len() as f64) * frac) as usize;
-            if cut < bytes.len() {
-                prop_assert!(PosteriorSnapshot::decode(bytes.slice(..cut)).is_err());
-            }
+            prop_assert_eq!(found.deltas.len(), 1);
+            prop_assert_eq!(applied, replayed);
         }
     }
 }
