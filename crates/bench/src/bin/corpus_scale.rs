@@ -25,8 +25,10 @@
 //! column degrades to "n/a" (`null` in JSON) and the budget check is
 //! skipped with a notice instead of vacuously passing.
 
-use mlp_bench::{doc_usage, mb_cell, mb_json, parse_cli, peak_rss_mb, write_json_report, Flags};
-use mlp_core::{MlpConfig, NewUserObservations, ProfileRequest, ServingEngine};
+use mlp_bench::{
+    chain_config, doc_usage, mb_cell, mb_json, parse_cli, peak_rss_mb, write_json_report, Flags,
+};
+use mlp_core::{NewUserObservations, ProfileRequest, ServingEngine};
 use mlp_gazetteer::{Gazetteer, SynthConfig, VenueId};
 use mlp_social::stream::StreamingGenerator;
 use mlp_social::{GeneratorConfig, UserId};
@@ -65,7 +67,7 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
             "--chunk" => a.chunk = flags.num(&flag)?,
             "--shards" => a.shards = flags.num(&flag)?,
             "--reconcile-every" => a.reconcile_every = flags.num(&flag)?,
-            "--iters" => a.iters = flags.num(&flag)?,
+            "--iters" => a.iters = flags.iters(&flag)?,
             "--cities" => a.cities = flags.num(&flag)?,
             "--seed" => a.seed = flags.num(&flag)?,
             "--serve-requests" => a.serve_requests = flags.num(&flag)?,
@@ -73,9 +75,6 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
             "--rss-budget-mb" => a.rss_budget_mb = Some(flags.num(&flag)?),
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if a.iters == 0 {
-        return Err("--iters must be at least 1".into());
     }
     a.sizes.sort_unstable();
     Ok(a)
@@ -121,12 +120,7 @@ fn main() {
 
         let t = Instant::now();
         let engine = ServingEngine::builder(&gaz)
-            .mlp_config(MlpConfig {
-                iterations: a.iters,
-                burn_in: a.iters / 2,
-                seed: a.seed,
-                ..Default::default()
-            })
+            .mlp_config(chain_config(a.iters, a.seed))
             .shards(a.shards)
             .reconcile_every(a.reconcile_every)
             .train_corpus(&dir)

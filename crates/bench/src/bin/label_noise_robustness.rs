@@ -9,8 +9,7 @@
 //! as one more noisy signal inside a mixture) degrade on masked-home
 //! prediction.
 
-use mlp_bench::BenchArgs;
-use mlp_core::MlpConfig;
+use mlp_bench::{chain_config, BenchArgs};
 use mlp_eval::{table::pct, ExperimentContext, HomeTask, Method, TextTable};
 use mlp_gazetteer::{Gazetteer, SynthConfig};
 use mlp_social::GeneratorConfig;
@@ -32,12 +31,7 @@ fn main() {
             label_noise_fraction: noise,
             ..Default::default()
         };
-        let mlp_config = MlpConfig {
-            iterations: args.iters,
-            burn_in: (args.iters / 2).max(1),
-            seed: args.seed,
-            ..Default::default()
-        };
+        let mlp_config = chain_config(args.iters, args.seed);
         let ctx = ExperimentContext::with_configs(gaz, gen_config, mlp_config, 5);
         let mut task = HomeTask::new(&ctx);
         task.folds_to_run = 1;

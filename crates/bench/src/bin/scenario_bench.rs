@@ -20,8 +20,7 @@
 //! wave must trigger at least one auto-refresh *and* one drift-triggered
 //! retrain whose committed accuracy recovers above the dip it reacted to.
 
-use mlp_bench::{doc_usage, parse_cli, write_json_report, Flags};
-use mlp_core::MlpConfig;
+use mlp_bench::{chain_config, doc_usage, parse_cli, write_json_report, Flags};
 use mlp_eval::{run_scenario, ScenarioReport, ScenarioRunConfig, TextTable, TickAction};
 use mlp_gazetteer::Gazetteer;
 use mlp_social::{GeneratorConfig, ScenarioScript, CANNED_SCENARIOS};
@@ -54,7 +53,7 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
             "--users" => a.users = flags.num(&flag)?,
             "--ticks" => a.ticks = flags.num(&flag)?,
             "--seed" => a.seed = flags.num(&flag)?,
-            "--iters" => a.iters = flags.num(&flag)?,
+            "--iters" => a.iters = flags.iters(&flag)?,
             "--requests" => a.requests = flags.num(&flag)?,
             "--scenarios" => {
                 a.scenarios =
@@ -81,12 +80,7 @@ fn main() {
 
     let config = ScenarioRunConfig {
         generator: GeneratorConfig { seed: a.seed, ..Default::default() },
-        mlp: MlpConfig {
-            iterations: a.iters,
-            burn_in: (a.iters / 2).max(1),
-            seed: a.seed,
-            ..Default::default()
-        },
+        mlp: chain_config(a.iters, a.seed),
         requests_per_tick: a.requests,
         ..Default::default()
     };

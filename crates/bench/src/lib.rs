@@ -159,6 +159,15 @@ impl Flags {
         parse_num(flag, &raw)
     }
 
+    /// The value following `flag` as a chain length in sweeps: a number
+    /// of at least 1, so [`chain_config`]'s burn-in stays below it.
+    pub fn iters(&mut self, flag: &str) -> Result<usize, String> {
+        match self.num(flag)? {
+            0 => Err(format!("{flag} must be at least 1")),
+            iters => Ok(iters),
+        }
+    }
+
     /// The value following `flag` as a comma-separated list of numbers.
     pub fn nums<T: std::str::FromStr>(&mut self, flag: &str) -> Result<Vec<T>, String>
     where
@@ -227,6 +236,14 @@ pub fn doc_usage(source: &str) -> String {
         .join("\n")
 }
 
+/// The Gibbs chain every bench binary trains: `iters` sweeps seeded by
+/// `seed`, whose second half (from sweep `iters / 2`) is averaged into
+/// `θ̂`. Any `iters >= 1` ([`Flags::iters`]) is a valid chain; `--iters 1`
+/// averages its one sweep.
+pub fn chain_config(iters: usize, seed: u64) -> MlpConfig {
+    MlpConfig { iterations: iters, burn_in: iters / 2, seed, ..Default::default() }
+}
+
 /// Shared CLI arguments for the bench binaries.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
@@ -273,7 +290,7 @@ impl BenchArgs {
                 "--users" => out.users = flags.num(&flag)?,
                 "--cities" => out.cities = flags.num(&flag)?,
                 "--seed" => out.seed = flags.num(&flag)?,
-                "--iters" => out.iters = flags.num(&flag)?,
+                "--iters" => out.iters = flags.iters(&flag)?,
                 "--folds" => out.folds = flags.num(&flag)?,
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -284,12 +301,7 @@ impl BenchArgs {
     /// Builds the experiment context these arguments describe.
     pub fn context(&self) -> ExperimentContext {
         let mut ctx = ExperimentContext::standard(self.users, self.cities, self.seed);
-        ctx.mlp_config = MlpConfig {
-            iterations: self.iters,
-            burn_in: (self.iters / 2).max(1),
-            seed: self.seed,
-            ..Default::default()
-        };
+        ctx.mlp_config = chain_config(self.iters, self.seed);
         ctx
     }
 
@@ -344,6 +356,17 @@ mod tests {
         assert!(try_parse(&["--users", "1_000"]).unwrap().is_some());
         for help in ["--help", "-h"] {
             assert!(try_parse(&["--bogus", help]).unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn every_chain_length_parses_to_a_valid_chain() {
+        assert_eq!(try_parse(&["--iters", "0"]).unwrap_err(), "--iters must be at least 1");
+        for iters in [1, 2, 3, 20] {
+            let a = parse(&["--iters", &iters.to_string()]);
+            let config = a.context().mlp_config;
+            assert_eq!((config.iterations, config.burn_in), (iters, iters / 2));
+            config.validate().unwrap();
         }
     }
 

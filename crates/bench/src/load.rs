@@ -25,9 +25,9 @@
 //!   recovered posterior byte-identical — and bit-identically serving —
 //!   versus an uninterrupted replay of the same churn waves.
 
-use crate::Flags;
+use crate::{chain_config, Flags};
 use mlp_core::engine::{response_determinism_hash, EngineError, ProfileRequest, ServingEngine};
-use mlp_core::{FoldInConfig, MlpConfig};
+use mlp_core::FoldInConfig;
 use mlp_gazetteer::Gazetteer;
 use mlp_geo::LatencyHistogram;
 use mlp_sampling::{Pcg64, SplitMix64};
@@ -278,14 +278,8 @@ fn cold_train<'a>(
     config: &LoadConfig,
     data: &GeneratedData,
 ) -> Result<ServingEngine<'a>, EngineError> {
-    let iters = config.train_iters.max(2);
     ServingEngine::builder(gaz)
-        .mlp_config(MlpConfig {
-            iterations: iters,
-            burn_in: (iters / 2).max(1),
-            seed: config.seed,
-            ..Default::default()
-        })
+        .mlp_config(chain_config(config.train_iters.max(2), config.seed))
         .fold_in_config(fold_in_config(config))
         .train(&data.dataset.prefix(config.users))
 }

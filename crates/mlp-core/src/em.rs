@@ -12,29 +12,24 @@
 //! edges by their assigned `d(x_s, y_s)`, and fit a weighted log–log line
 //! to the per-bucket following probabilities.
 
-use crate::candidacy::Candidacy;
 use crate::fit::fit_from_histogram;
-use crate::state::SamplerState;
-use mlp_gazetteer::{CityId, Gazetteer};
+use crate::sampler::GibbsSampler;
 use mlp_geo::PowerLaw;
-use mlp_social::{Dataset, UserId};
+use mlp_social::UserId;
 
-/// Re-estimates `(α, β)` from the sampler's current assignments.
+/// Re-estimates `(α, β)` from the sampler's current assignments and its
+/// users' current homes (the argmax of θ̂, the head of
+/// [`GibbsSampler::estimate_theta`]).
 ///
-/// `home_of` supplies each user's current home estimate (argmax of θ̂).
 /// Returns `None` — leaving the caller's power law untouched — when the fit
 /// is degenerate (too few location-based edges or all mass in one bucket).
-pub fn refit_power_law(
-    gaz: &Gazetteer,
-    dataset: &Dataset,
-    candidacy: &Candidacy,
-    state: &SamplerState,
-    home_of: impl Fn(UserId) -> CityId,
-) -> Option<PowerLaw> {
+pub fn refit_power_law(sampler: &GibbsSampler<'_>) -> Option<PowerLaw> {
+    let (gaz, candidacy, state) = (sampler.gazetteer(), sampler.candidacy(), &sampler.state);
+    let dataset = sampler.dataset();
     // Users per estimated home city.
     let mut city_counts = vec![0u64; gaz.num_cities()];
     for u in 0..dataset.num_users() {
-        city_counts[home_of(UserId(u as u32)).index()] += 1;
+        city_counts[sampler.home(UserId(u as u32)).index()] += 1;
     }
 
     // Successes: location-based edges at their assigned distance.
@@ -52,32 +47,22 @@ pub fn refit_power_law(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidacy::Candidacy;
     use crate::config::MlpConfig;
     use crate::random_models::RandomModels;
-    use crate::sampler::GibbsSampler;
+    use crate::sampler::tests::Fixture;
+    use mlp_gazetteer::Gazetteer;
     use mlp_social::{Adjacency, Generator, GeneratorConfig};
 
     #[test]
     fn refit_recovers_generator_exponent_region() {
-        let gaz = Gazetteer::us_cities();
-        let data = Generator::new(
-            &gaz,
-            GeneratorConfig { num_users: 1_500, seed: 41, ..Default::default() },
-        )
-        .generate();
-        let config = MlpConfig::default();
-        let adj = Adjacency::build(&data.dataset);
-        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
-        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
-        let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
+        let f = Fixture::new(1_500, 41, MlpConfig::default());
+        let mut sampler = f.sampler();
         for _ in 0..6 {
             sampler.sweep();
             sampler.state.accumulate();
         }
-        let fit = refit_power_law(&gaz, &data.dataset, &cand, &sampler.state, |u| {
-            sampler.estimate_theta(u)[0].0
-        })
-        .expect("refit should succeed at this scale");
+        let fit = refit_power_law(&sampler).expect("refit should succeed at this scale");
         // The generator used α = −0.55; the refit should land in a
         // recognisable neighbourhood (city-level aggregation and the noisy
         // mixture blur it).
@@ -109,9 +94,7 @@ mod tests {
         let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
         let random = RandomModels::learn(&data.dataset, gaz.num_venues());
         let sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
-        let fit = refit_power_law(&gaz, &data.dataset, &cand, &sampler.state, |u| {
-            sampler.estimate_theta(u)[0].0
-        });
+        let fit = refit_power_law(&sampler);
         assert!(fit.is_none());
     }
 }

@@ -15,7 +15,10 @@
 //! relationship's draws (`μ_s`, then `x_s`, then `y_s`) and `mention_step`
 //! a tweeting relationship's (`ν_k`, then `z_k`); `score_anchor` /
 //! `score_venue` score, `init_mode` picks and `init_position` draws the
-//! mode-biased initial assignment every chain starts from.
+//! mode-biased initial assignment every chain starts from, and
+//! `init_draws` is the one loop of initial draws both trainers run.
+//! `theta` is a user's `θ̂` (Eq. 10) from their mean counts and
+//! `argmax_city` the one home rule over it.
 //!
 //! `sweep` is the one loop every training chain runs: over a slice of
 //! edges and a slice of mentions, it excludes each relationship by
@@ -39,7 +42,7 @@
 //! slabs — swapping a storage backend cannot change a single weight.
 
 use crate::candidacy::Candidacy;
-use crate::config::MlpConfig;
+use crate::config::{MlpConfig, Variant};
 use crate::random_models::RandomModels;
 use crate::sampler::SweepChanges;
 use crate::state::Assignments;
@@ -443,11 +446,16 @@ impl<'a> InitScores<'a> {
         Self { gaz, candidacy: cand, kernel, scores, has_signal }
     }
 
-    /// Scores each endpoint of a following relationship against the
-    /// other's label, follower first.
+    /// Scores each unlabeled endpoint of a following relationship
+    /// against the other's label, follower first. A labeled user's mode
+    /// is their registered city (always a candidate), so their scores
+    /// are never read and never computed.
     pub(crate) fn edge(&mut self, e: &FollowEdge, registered: &[Option<CityId>]) {
         let cand = self.candidacy;
         for (user, other) in [(e.follower, e.friend), (e.friend, e.follower)] {
+            if registered[user.index()].is_some() {
+                continue;
+            }
             if let Some(anchor) = registered[other.index()] {
                 self.has_signal[user.index()] = true;
                 let scores = &mut self.scores[cand.slots(user)];
@@ -456,8 +464,12 @@ impl<'a> InitScores<'a> {
         }
     }
 
-    /// Scores a tweeting relationship's venue resolutions.
-    pub(crate) fn mention(&mut self, m: &TweetMention) {
+    /// Scores a tweeting relationship's venue resolutions, unless its
+    /// user is labeled (see [`Self::edge`]).
+    pub(crate) fn mention(&mut self, m: &TweetMention, registered: &[Option<CityId>]) {
+        if registered[m.user.index()].is_some() {
+            return;
+        }
         let cand = self.candidacy;
         let scores = &mut self.scores[cand.slots(m.user)];
         let hit = score_venue(self.gaz, self.kernel, m.venue, cand.candidates(m.user), scores);
@@ -501,6 +513,81 @@ pub(crate) fn init_position(rng: &mut Pcg64, mode: Option<usize>, len: usize) ->
     }
 }
 
+/// The relationships a chain draws from `edges` and `mentions`: all of
+/// them, less any type `variant` leaves out. Leaving a type out of the
+/// initial draws too (not only of the sweeps) keeps the other type's RNG
+/// stream independent of its presence: a TweetingOnly run is
+/// bit-identical whether or not the data carries edges.
+pub(crate) fn relationships<'d>(
+    variant: Variant,
+    edges: &'d [FollowEdge],
+    mentions: &'d [TweetMention],
+) -> (&'d [FollowEdge], &'d [TweetMention]) {
+    let edges = if variant.uses_following() { edges } else { &[] };
+    let mentions = if variant.uses_tweeting() { mentions } else { &[] };
+    (edges, mentions)
+}
+
+/// The initial draws of every training chain over `edges`, then
+/// `mentions`, written to `asg` (one assignment per relationship given):
+/// per edge the `μ_s` coin (`ρ_f`) and both endpoints' [`init_position`]s
+/// around their users' `modes`, follower first; per mention the `ν_k`
+/// coin (`ρ_t`) and its user's position. Calls over consecutive pieces of
+/// a relationship list on one continuing `rng` draw what one call over
+/// the whole list draws, which is how the out-of-core trainer initialises
+/// chunk by chunk.
+pub(crate) fn init_draws(
+    config: &MlpConfig,
+    candidacy: &Candidacy,
+    modes: &[Option<u32>],
+    rng: &mut Pcg64,
+    edges: &[FollowEdge],
+    mentions: &[TweetMention],
+    asg: &mut Assignments<'_>,
+) {
+    assert!(asg.mu.len() == edges.len() && asg.nu.len() == mentions.len());
+    let pos = |rng: &mut Pcg64, u: UserId| {
+        let mode = modes[u.index()].map(|m| m as usize);
+        init_position(rng, mode, candidacy.candidates(u).len()) as u16
+    };
+    for (s, e) in edges.iter().enumerate() {
+        asg.mu[s] = rng.bernoulli(config.rho_f);
+        asg.x[s] = pos(rng, e.follower);
+        asg.y[s] = pos(rng, e.friend);
+    }
+    for (k, m) in mentions.iter().enumerate() {
+        asg.nu[k] = rng.bernoulli(config.rho_t);
+        asg.z[k] = pos(rng, m.user);
+    }
+}
+
+/// One user's `θ̂` (Eq. 10) at each of their candidates, in candidate
+/// order: `(ϕ̄_c + γ_c) / (Σϕ̄ + Σγ)`, from their priors and their mean
+/// counts `mean(c)`.
+pub(crate) fn theta<'a>(
+    gammas: &'a [f64],
+    gamma_total: f64,
+    mean: impl Fn(usize) -> f64 + 'a,
+) -> impl ExactSizeIterator<Item = f64> + 'a {
+    let total = (0..gammas.len()).fold(gamma_total, |total, c| total + mean(c));
+    (0..gammas.len()).map(move |c| (mean(c) + gammas[c]) / total)
+}
+
+/// The candidate with the highest of `scores` (aligned with `cands`):
+/// the first strict maximum over the ascending candidate list, so a tie
+/// goes to the lower city id. Applied to [`theta`] it is the MAP home.
+pub(crate) fn argmax_city(cands: &[CityId], scores: impl IntoIterator<Item = f64>) -> CityId {
+    let mut best = cands[0];
+    let mut best_score = f64::NEG_INFINITY;
+    for (&city, score) in cands.iter().zip(scores) {
+        if score > best_score {
+            best = city;
+            best_score = score;
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,14 +602,15 @@ mod tests {
         let u = data.edges[0].follower;
         let mut with = Vec::new();
         let mut without = Vec::new();
-        edge_position_weights(&view, &sampler.state, u, None, &mut without);
+        let counts = sampler.state.counts();
+        edge_position_weights(&view, counts, u, None, &mut without);
         let anchor = cand.candidates(data.edges[0].friend)[0];
-        edge_position_weights(&view, &sampler.state, u, Some(anchor), &mut with);
+        edge_position_weights(&view, counts, u, Some(anchor), &mut with);
         assert_eq!(with.len(), without.len());
         // The noisy branch must be a pure profile draw: every weight equals
         // count + gamma, no kernel factor.
         for (c, w) in without.iter().enumerate() {
-            let expect = CountView::user_count(&sampler.state, u, c) + cand.gammas(u)[c];
+            let expect = counts.user_count(u, c) + cand.gammas(u)[c];
             assert_eq!(*w, expect);
         }
         // And the based branch differs wherever the kernel is not 1.

@@ -9,6 +9,7 @@ use crate::candidacy::Candidacy;
 use crate::config::MlpConfig;
 use crate::diagnostics::{Diagnostics, IterationStats};
 use crate::em::refit_power_law;
+use crate::kernel::argmax_city;
 use crate::parallel::parallel_sweep;
 use crate::random_models::RandomModels;
 use crate::sampler::GibbsSampler;
@@ -126,8 +127,7 @@ impl<'a> Mlp<'a> {
 
         let mut diagnostics = Diagnostics::default();
         let n = self.dataset.num_users();
-        let mut prev_homes: Vec<CityId> =
-            (0..n).map(|u| sampler.estimate_theta(UserId(u as u32))[0].0).collect();
+        let mut prev_homes: Vec<CityId> = (0..n).map(|u| sampler.home(UserId(u as u32))).collect();
 
         let em_rounds = if self.config.gibbs_em { self.config.em_iterations } else { 1 };
         let mut sweep_counter = 0u64;
@@ -141,8 +141,7 @@ impl<'a> Mlp<'a> {
                     sampler.state.accumulate();
                 }
 
-                let homes: Vec<CityId> =
-                    (0..n).map(|u| sampler.estimate_theta(UserId(u as u32))[0].0).collect();
+                let homes: Vec<CityId> = (0..n).map(|u| sampler.home(UserId(u as u32))).collect();
                 let moved = homes.iter().zip(&prev_homes).filter(|(a, b)| a != b).count();
                 diagnostics.iterations.push(IterationStats {
                     iteration: (round * self.config.iterations + iter),
@@ -155,11 +154,7 @@ impl<'a> Mlp<'a> {
             }
             // M-step: refit (α, β) between rounds.
             if self.config.gibbs_em && round + 1 < em_rounds {
-                if let Some(fit) =
-                    refit_power_law(self.gaz, self.dataset, &candidacy, &sampler.state, |u| {
-                        sampler.estimate_theta(u)[0].0
-                    })
-                {
+                if let Some(fit) = refit_power_law(&sampler) {
                     sampler.set_power_law(fit);
                     diagnostics.power_law_trace.push((fit.alpha, fit.beta));
                 }
@@ -169,9 +164,9 @@ impl<'a> Mlp<'a> {
         let profiles: Vec<Vec<(CityId, f64)>> =
             (0..n).map(|u| sampler.estimate_theta(UserId(u as u32))).collect();
         let (edge_assignments, mention_assignments) = {
-            // θ̂ in the state's flat slot space, so user `u`'s row starts at
-            // `user_slot(u, 0)`; one allocation, freed before the freeze.
-            let mut theta = Vec::with_capacity(sampler.state.num_user_slots());
+            // θ̂ in the candidacy's flat slot space, so user `u`'s row starts
+            // at `slot(u, 0)`; one allocation, freed before the freeze.
+            let mut theta = Vec::with_capacity(candidacy.num_slots());
             for u in 0..n {
                 theta.extend(sampler.theta_row(UserId(u as u32)));
             }
@@ -198,7 +193,7 @@ impl<'a> Mlp<'a> {
     /// MAP refinement of per-edge assignments: conditional argmax of
     /// `θ̂ × kernel`, two alternating passes starting from the last sample.
     /// `theta` holds every user's [`GibbsSampler::theta_row`] in the
-    /// state's slot space.
+    /// candidacy's slot space.
     fn extract_edge_assignments(
         &self,
         sampler: &GibbsSampler<'_>,
@@ -206,7 +201,7 @@ impl<'a> Mlp<'a> {
         theta: &[f64],
     ) -> Vec<EdgeAssignment> {
         let kernel = sampler.view().kernel;
-        let row = |u: UserId| (candidacy.candidates(u), &theta[sampler.state.user_slot(u, 0)..]);
+        let row = |u: UserId| (candidacy.candidates(u), &theta[candidacy.slot(u, 0)..]);
         self.dataset
             .edges
             .iter()
@@ -219,14 +214,14 @@ impl<'a> Mlp<'a> {
                 let mut y = cj[sampler.state.y[s] as usize];
                 if noisy {
                     // Profile-only MAP for noisy edges.
-                    x = argmax_city(ci, |c, _| ti[c]);
-                    y = argmax_city(cj, |c, _| tj[c]);
+                    x = argmax_city(ci, ti.iter().copied());
+                    y = argmax_city(cj, tj.iter().copied());
                 } else {
                     for _ in 0..2 {
                         let row = kernel.row(y.index());
-                        x = argmax_city(ci, |c, city| ti[c] * row[city.index()]);
+                        x = argmax_city(ci, ci.iter().zip(ti).map(|(c, t)| t * row[c.index()]));
                         let row = kernel.row(x.index());
-                        y = argmax_city(cj, |c, city| tj[c] * row[city.index()]);
+                        y = argmax_city(cj, cj.iter().zip(tj).map(|(c, t)| t * row[c.index()]));
                     }
                 }
                 EdgeAssignment { noisy, x, y }
@@ -246,12 +241,14 @@ impl<'a> Mlp<'a> {
             .enumerate()
             .map(|(k, m)| {
                 let ci = candidacy.candidates(m.user);
-                let ti = &theta[sampler.state.user_slot(m.user, 0)..];
+                let ti = &theta[candidacy.slot(m.user, 0)..];
                 let noisy = sampler.state.nu[k];
                 let z = if noisy {
-                    argmax_city(ci, |c, _| ti[c])
+                    argmax_city(ci, ti.iter().copied())
                 } else {
-                    argmax_city(ci, |c, city| ti[c] * sampler.venue_term_public(city, m.venue))
+                    let venue =
+                        |(&c, t): (&CityId, &f64)| t * sampler.venue_term_public(c, m.venue);
+                    argmax_city(ci, ci.iter().zip(ti).map(venue))
                 };
                 MentionAssignment { noisy, z }
             })
@@ -265,20 +262,6 @@ fn ratio(num: usize, den: usize) -> f64 {
     } else {
         num as f64 / den as f64
     }
-}
-
-/// The first candidate with the highest `score(position, city)`.
-fn argmax_city(cands: &[CityId], score: impl Fn(usize, CityId) -> f64) -> CityId {
-    let mut best = cands[0];
-    let mut best_score = f64::NEG_INFINITY;
-    for (c, &city) in cands.iter().enumerate() {
-        let s = score(c, city);
-        if s > best_score {
-            best = city;
-            best_score = s;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -117,8 +117,10 @@ pub struct OnlineUpdater<'a> {
     parts: crate::infer::DerivedParts,
     /// Staged but not yet committed.
     pending: SnapshotDelta,
-    /// Commit history since the base snapshot, in order.
-    committed: Vec<SnapshotDelta>,
+    /// The last commit's delta, until a rebase. Earlier commits live on
+    /// only in the snapshot (and in a durable engine's log), so an
+    /// updater that never rebases holds one delta, not every absorbed row.
+    last_commit: Option<SnapshotDelta>,
     commits: usize,
     last_drift: f64,
 }
@@ -146,7 +148,7 @@ impl<'a> OnlineUpdater<'a> {
             policy,
             parts,
             pending: SnapshotDelta::new(base_users),
-            committed: Vec::new(),
+            last_commit: None,
             commits: 0,
             last_drift: 0.0,
         })
@@ -230,12 +232,12 @@ impl<'a> OnlineUpdater<'a> {
         &self.pending
     }
 
-    /// Re-anchors the updater on its current snapshot: the commit
-    /// history is cleared. Used after a checkpoint folds the full state
+    /// Re-anchors the updater on its current snapshot: the last commit's
+    /// delta is dropped. Used after a checkpoint folds the full state
     /// into a fresh base artifact, which already holds the history. The
     /// commit *count* driving the staleness policy is untouched.
     pub(crate) fn rebase(&mut self) {
-        self.committed.clear();
+        self.last_commit = None;
     }
 
     /// [`Self::rebase`] that also swaps in a replacement snapshot (the
@@ -262,7 +264,7 @@ impl<'a> OnlineUpdater<'a> {
         self.snapshot.apply_delta(&self.pending)?;
         let n = self.pending.num_new_users();
         let next = SnapshotDelta::new(self.snapshot.num_users() as u32);
-        self.committed.push(std::mem::replace(&mut self.pending, next));
+        self.last_commit = Some(std::mem::replace(&mut self.pending, next));
         self.commits += 1;
         Ok(n)
     }
@@ -272,9 +274,10 @@ impl<'a> OnlineUpdater<'a> {
         self.commits
     }
 
-    /// The committed delta history since the last rebase, in apply order.
+    /// The last commit's delta, unless a rebase came after it: at most
+    /// one item.
     pub fn committed_deltas(&self) -> &[SnapshotDelta] {
-        &self.committed
+        self.last_commit.as_slice()
     }
 
     /// Records an externally measured drift metric (e.g.
@@ -378,6 +381,25 @@ mod tests {
         let newest = UserId((base_users + 19) as u32);
         let follow_new = vec![NewUserObservations { neighbors: vec![newest], mentions: vec![] }];
         assert!(updater.absorb(&follow_new).is_ok());
+    }
+
+    #[test]
+    fn only_the_last_commit_is_kept() {
+        let (gaz, data, snap) = trained(120, 911);
+        let base_users = snap.num_users();
+        let mut updater =
+            OnlineUpdater::new(&gaz, snap, FoldInConfig::default(), StalenessPolicy::default())
+                .unwrap();
+        for users in [100..108, 108..112, 112..115] {
+            updater.absorb(&new_user_batch(&data, base_users, users)).unwrap();
+            updater.commit().unwrap();
+        }
+        assert_eq!(updater.commits(), 3);
+        let kept = updater.committed_deltas();
+        assert_eq!(kept.len(), 1, "one delta, not the commit history");
+        assert_eq!(kept[0].num_new_users(), 3, "sized like the last batch");
+        updater.rebase();
+        assert!(updater.committed_deltas().is_empty());
     }
 
     #[test]

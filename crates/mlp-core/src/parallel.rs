@@ -131,8 +131,7 @@ mod tests {
             for sweep in 0..3 {
                 let changes = parallel_sweep(&mut sampler, sweep);
                 let (state, label) = (&sampler.state, format!("{variant:?} sweep {sweep}"));
-                let exact =
-                    state.check_consistency(&f.dataset, &f.cand, false, following, tweeting);
+                let exact = state.check_consistency(&f.dataset, &f.cand, &f.config);
                 exact.unwrap_or_else(|e| panic!("{label}: reconciled counts differ: {e}"));
                 if !following {
                     assert_eq!(changes.edges, 0, "{label}");
@@ -156,7 +155,7 @@ mod tests {
             parallel_sweep(&mut sampler, sweep);
             sampler
                 .state
-                .check_consistency(&f.dataset, &f.cand, true, true, true)
+                .check_consistency(&f.dataset, &f.cand, &f.config)
                 .expect("count-noisy delta merge must also be exact");
         }
     }
@@ -178,7 +177,7 @@ mod tests {
             for u in 0..f.dataset.num_users() {
                 let user = UserId(u as u32);
                 if let Some(home) = f.dataset.registered[u] {
-                    if sampler.estimate_theta(user)[0].0 == home {
+                    if sampler.home(user) == home {
                         hits += 1;
                     }
                 }

@@ -84,51 +84,22 @@ impl<'a> GibbsSampler<'a> {
     /// log-likelihood against their labeled neighbors (plus a venue-
     /// resolution bonus), which is where the all-in posterior mode lives.
     fn init_assignments(&mut self) {
-        let (uses_following, uses_tweeting) =
-            (self.config.variant.uses_following(), self.config.variant.uses_tweeting());
+        let (edges, mentions) = self.relationships();
+        let (config, candidacy, registered) =
+            (self.config, self.candidacy, &self.dataset.registered);
         // Mode scores: every edge, then every mention.
-        let mut scores = InitScores::new(self.gaz, self.candidacy, &self.kernel);
-        if uses_following {
-            for e in &self.dataset.edges {
-                scores.edge(e, &self.dataset.registered);
-            }
+        let mut scores = InitScores::new(self.gaz, candidacy, &self.kernel);
+        for e in edges {
+            scores.edge(e, registered);
         }
-        if uses_tweeting {
-            for m in &self.dataset.mentions {
-                scores.mention(m);
-            }
+        for m in mentions {
+            scores.mention(m, registered);
         }
-        let modes = scores.modes(&self.dataset.registered);
-        let pos = |sampler: &mut Self, user: UserId| -> usize {
-            let len = sampler.candidacy.candidates(user).len();
-            kernel::init_position(&mut sampler.rng, modes[user.index()].map(|m| m as usize), len)
-        };
-        // Loops are gated by variant (not just skipped in the sweep) so the
-        // RNG stream for one observation type is independent of the other's
-        // presence — a TweetingOnly run must be bit-identical whether or not
-        // the dataset carries edges.
-        if uses_following {
-            for s in 0..self.dataset.num_edges() {
-                let e = self.dataset.edges[s];
-                self.state.mu[s] = self.rng.bernoulli(self.config.rho_f);
-                self.state.x[s] = pos(self, e.follower) as u16;
-                self.state.y[s] = pos(self, e.friend) as u16;
-            }
-        }
-        if uses_tweeting {
-            for k in 0..self.dataset.num_mentions() {
-                let m = self.dataset.mentions[k];
-                self.state.nu[k] = self.rng.bernoulli(self.config.rho_t);
-                self.state.z[k] = pos(self, m.user) as u16;
-            }
-        }
-        self.state.rebuild_counts(
-            self.dataset,
-            self.candidacy,
-            self.config.count_noisy_assignments,
-            uses_following,
-            uses_tweeting,
-        );
+        let modes = scores.modes(registered);
+        let (counts, asg) = self.state.parts_mut();
+        let (mut asg, _) = asg.split_at(edges.len(), mentions.len());
+        kernel::init_draws(config, candidacy, &modes, &mut self.rng, edges, mentions, &mut asg);
+        counts.add_assigned(candidacy, edges, mentions, &asg, config.count_noisy_assignments);
     }
 
     /// Sets the power law the chain samples under (the Gibbs-EM M-step)
@@ -141,13 +112,8 @@ impl<'a> GibbsSampler<'a> {
     /// The read-only view the kernel evaluates against.
     pub fn view(&self) -> SamplerView<'_> {
         debug_assert_eq!(self.kernel.law(), self.power_law, "use set_power_law");
-        SamplerView {
-            gaz: self.gaz,
-            candidacy: self.candidacy,
-            random: self.random,
-            config: self.config,
-            kernel: &self.kernel,
-        }
+        let (gaz, candidacy, random, config) = (self.gaz, self.candidacy, self.random, self.config);
+        SamplerView { gaz, candidacy, random, config, kernel: &self.kernel }
     }
 
     /// [`Self::view`] beside mutable borrows of the chain's state, RNG and
@@ -156,23 +122,15 @@ impl<'a> GibbsSampler<'a> {
         &mut self,
     ) -> (SamplerView<'_>, &mut SamplerState, &mut Pcg64, &mut Vec<f64>) {
         debug_assert_eq!(self.kernel.law(), self.power_law, "use set_power_law");
-        let view = SamplerView {
-            gaz: self.gaz,
-            candidacy: self.candidacy,
-            random: self.random,
-            config: self.config,
-            kernel: &self.kernel,
-        };
+        let (gaz, candidacy, random, config) = (self.gaz, self.candidacy, self.random, self.config);
+        let view = SamplerView { gaz, candidacy, random, config, kernel: &self.kernel };
         (view, &mut self.state, &mut self.rng, &mut self.weight_buf)
     }
 
-    /// The relationships the chain samples: every edge and every mention
-    /// of the dataset, or none of a type the variant leaves out.
+    /// The relationships the chain samples: [`kernel::relationships`] of
+    /// the dataset.
     pub(crate) fn relationships(&self) -> (&'a [FollowEdge], &'a [TweetMention]) {
-        let variant = self.config.variant;
-        let edges = if variant.uses_following() { &self.dataset.edges[..] } else { &[] };
-        let mentions = if variant.uses_tweeting() { &self.dataset.mentions[..] } else { &[] };
-        (edges, mentions)
+        kernel::relationships(self.config.variant, &self.dataset.edges, &self.dataset.mentions)
     }
 
     /// One full Gibbs sweep over all relationships, against the live
@@ -197,38 +155,37 @@ impl<'a> GibbsSampler<'a> {
     /// [`Self::estimate_theta`]'s probabilities in candidate order,
     /// unsorted: item `c` is θ̂ at `candidates(u)[c]`.
     pub(crate) fn theta_row(&self, u: UserId) -> impl ExactSizeIterator<Item = f64> + '_ {
-        let gammas = self.candidacy.gammas(u);
-        let mut total = self.candidacy.gamma_total(u);
-        for c in 0..gammas.len() {
-            total += self.state.mean_user_count(u, c);
-        }
-        (0..gammas.len()).map(move |c| (self.state.mean_user_count(u, c) + gammas[c]) / total)
+        let (gammas, gamma_total) = (self.candidacy.gammas(u), self.candidacy.gamma_total(u));
+        kernel::theta(gammas, gamma_total, move |c| self.state.mean_user_count(u, c))
+    }
+
+    /// User `u`'s MAP home, the head of [`Self::estimate_theta`], without
+    /// sorting or allocating.
+    pub(crate) fn home(&self, u: UserId) -> CityId {
+        kernel::argmax_city(self.candidacy.candidates(u), self.theta_row(u))
     }
 
     /// A joint log-likelihood proxy under current assignments (monitoring
     /// only; collapsed likelihoods are not directly comparable across
     /// selector configurations).
     pub fn log_likelihood_proxy(&self) -> f64 {
+        let (edges, mentions) = self.relationships();
         let mut ll = 0.0;
-        if self.config.variant.uses_following() {
-            for (s, e) in self.dataset.edges.iter().enumerate() {
-                if self.state.mu[s] {
-                    ll += (self.config.rho_f * self.random.follow_prob()).ln();
-                } else {
-                    let x = self.candidacy.candidates(e.follower)[self.state.x[s] as usize];
-                    let y = self.candidacy.candidates(e.friend)[self.state.y[s] as usize];
-                    ll += ((1.0 - self.config.rho_f) * self.kernel.eval(x.index(), y.index())).ln();
-                }
+        for (s, e) in edges.iter().enumerate() {
+            if self.state.mu[s] {
+                ll += (self.config.rho_f * self.random.follow_prob()).ln();
+            } else {
+                let x = self.candidacy.candidates(e.follower)[self.state.x[s] as usize];
+                let y = self.candidacy.candidates(e.friend)[self.state.y[s] as usize];
+                ll += ((1.0 - self.config.rho_f) * self.kernel.eval(x.index(), y.index())).ln();
             }
         }
-        if self.config.variant.uses_tweeting() {
-            for (k, m) in self.dataset.mentions.iter().enumerate() {
-                if self.state.nu[k] {
-                    ll += (self.config.rho_t * self.random.venue_prob(m.venue)).ln();
-                } else {
-                    let z = self.candidacy.candidates(m.user)[self.state.z[k] as usize];
-                    ll += ((1.0 - self.config.rho_t) * self.venue_term_public(z, m.venue)).ln();
-                }
+        for (k, m) in mentions.iter().enumerate() {
+            if self.state.nu[k] {
+                ll += (self.config.rho_t * self.random.venue_prob(m.venue)).ln();
+            } else {
+                let z = self.candidacy.candidates(m.user)[self.state.z[k] as usize];
+                ll += ((1.0 - self.config.rho_t) * self.venue_term_public(z, m.venue)).ln();
             }
         }
         ll
@@ -262,13 +219,14 @@ impl<'a> GibbsSampler<'a> {
     /// Venue term `(φ_{l,v} + δ) / (Σφ_l + δ|V|)` against live counts, for
     /// the likelihood proxy and MAP extraction in [`crate::model`].
     pub fn venue_term_public(&self, l: CityId, v: VenueId) -> f64 {
-        kernel::venue_term(&self.view(), &self.state, l, v)
+        kernel::venue_term(&self.view(), self.state.counts(), l, v)
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::kernel::{CountStore, CountView};
     use mlp_social::{Adjacency, Generator, GeneratorConfig};
 
     /// A generated dataset plus everything a sampler borrows; shared by the
@@ -312,7 +270,7 @@ pub(crate) mod tests {
             sampler.sweep();
             sampler
                 .state
-                .check_consistency(&f.dataset, &f.cand, false, true, true)
+                .check_consistency(&f.dataset, &f.cand, &f.config)
                 .expect("incremental counts must equal a rebuild");
         }
     }
@@ -326,7 +284,7 @@ pub(crate) mod tests {
             sampler.sweep();
             sampler
                 .state
-                .check_consistency(&f.dataset, &f.cand, true, true, true)
+                .check_consistency(&f.dataset, &f.cand, &f.config)
                 .expect("count-noisy bookkeeping must also be exact");
         }
     }
@@ -355,6 +313,41 @@ pub(crate) mod tests {
                 assert!(w[0].1 >= w[1].1, "user {u} theta not sorted");
             }
         }
+    }
+
+    #[test]
+    fn home_is_the_head_of_theta_and_ties_go_to_the_lower_city() {
+        let f = Fixture::new(150, 43, MlpConfig::default());
+        let mut sampler = f.sampler();
+        for _ in 0..4 {
+            sampler.sweep();
+            sampler.state.accumulate();
+        }
+        let users = (0..f.dataset.num_users() as u32).map(UserId);
+        for u in users.clone() {
+            assert_eq!(sampler.home(u), sampler.estimate_theta(u)[0].0, "user {u:?}");
+        }
+        // A hand-built tie: the last two candidates with the plain prior τ
+        // (not a registered city's boost) of the user with the most
+        // candidates share a live count above every other candidate's
+        // count plus prior (no sample accumulated yet).
+        let mut sampler = f.sampler();
+        let u = users.max_by_key(|&u| f.cand.candidates(u).len()).unwrap();
+        let gammas = f.cand.gammas(u);
+        let plain: Vec<usize> = (0..gammas.len()).filter(|&c| gammas[c] == f.config.tau).collect();
+        let &[.., a, b] = plain.as_slice() else { panic!("user {u:?} has two plain candidates") };
+        let (counts, _) = sampler.state.parts_mut();
+        let top =
+            (0..gammas.len()).map(|c| counts.user_count(u, c) + gammas[c]).fold(0.0, f64::max);
+        for c in [a, b] {
+            while counts.user_count(u, c) <= top {
+                counts.add_user(u, c);
+            }
+        }
+        let tied = f.cand.candidates(u)[a];
+        let theta = sampler.estimate_theta(u);
+        assert_eq!(theta[0].1, theta[1].1, "the top two are tied");
+        assert_eq!((sampler.home(u), theta[0].0), (tied, tied));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * **Resident globally** (the part that must be shared): the
 //!   [`Candidacy`] (built chunk by chunk through the in-memory path's
-//!   builder), the collapsed user counts `ϕ` and their post-burn-in
-//!   accumulators (flat `u32` arenas in its slot space), and the venue
+//!   builder), the collapsed user counts `ϕ` (a flat `u32` arena in its
+//!   slot space) and their post-burn-in `u64` sums, and the venue
 //!   counts `φ` ([`crate::VenueCountStore`]). This is O(users ·
 //!   mean-candidates + support) — the irreducible model state.
 //! * **Resident per shard, one shard at a time**: the shard's corpus
@@ -34,10 +34,17 @@
 //! driver owns the shard schedule, the RNG streams, the frozen copy and
 //! the assignment spills.
 //!
-//! Post-burn-in, the posterior is accumulated at reconciliation points
-//! (every super-sweep contributes one sample of the fully-merged counts),
-//! i.e. the chain is *thinned* by `reconcile_every` rather than sampled
-//! every sweep — same estimator, fewer, less-correlated samples.
+//! The rest of the chain's lifecycle is the in-memory sampler's, stage
+//! for stage: each shard makes its initial draws with
+//! `kernel::init_draws` and counts them with `Counts::add_assigned`,
+//! chunk by chunk on its one init stream; the post-burn-in samples go
+//! into the same `Accumulator`; and the freeze is the same
+//! [`PosteriorSnapshot`] assembly, with the same home rule. Only the
+//! sampling points differ: the posterior is accumulated at
+//! reconciliation points (every super-sweep contributes one sample of
+//! the fully-merged counts), i.e. the chain is *thinned* by
+//! `reconcile_every` rather than sampled every sweep — same estimator,
+//! fewer, less-correlated samples.
 //!
 //! The whole run is a pure function of `(gazetteer, corpus, config,
 //! shards, reconcile_every)`: every RNG stream is derived from the seed,
@@ -46,17 +53,16 @@
 use crate::candidacy::{Candidacy, CandidacyBuilder};
 use crate::config::MlpConfig;
 use crate::count_store::VenueSupport;
-use crate::kernel::{self, CountStore, InitScores, SamplerView};
+use crate::kernel::{self, InitScores, SamplerView};
 use crate::model::Mlp;
 use crate::parallel::chunk_ranges;
 use crate::random_models::RandomModels;
-use crate::snapshot::{PosteriorSnapshot, UserArena, UserPosterior};
-use crate::state::{Assignments, Counts, ShardCounts};
+use crate::snapshot::PosteriorSnapshot;
+use crate::state::{Accumulator, Assignments, Counts, ShardCounts};
 use mlp_gazetteer::{CityId, Gazetteer};
 use mlp_geo::KernelMatrix;
 use mlp_sampling::{Pcg64, SplitMix64};
 use mlp_social::stream::{CorpusChunk, CorpusError, CorpusReader};
-use mlp_social::UserId;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -188,6 +194,18 @@ impl ShardAssignments {
         Assignments { mu, x, y, nu, z }
     }
 
+    /// Appends `edges` edge and `mentions` mention assignments, all
+    /// zero, and returns them.
+    fn extend(&mut self, edges: usize, mentions: usize) -> Assignments<'_> {
+        let (old_edges, old_mentions) = (self.mu.len(), self.nu.len());
+        self.mu.resize(old_edges + edges, false);
+        self.x.resize(old_edges + edges, 0);
+        self.y.resize(old_edges + edges, 0);
+        self.nu.resize(old_mentions + mentions, false);
+        self.z.resize(old_mentions + mentions, 0);
+        self.slices().split_at(old_edges, old_mentions).1
+    }
+
     /// Serialises to the spill format (scratch file — no fsync needed;
     /// a crash simply restarts training).
     fn encode(&self) -> Vec<u8> {
@@ -251,9 +269,8 @@ struct ShardedTrainer<'g, 'r> {
     modes: Vec<Option<u32>>,
     /// Global collapsed counts in the candidate slot space.
     counts: Counts,
-    // Post-burn-in accumulators (one sample per reconciliation).
-    acc: Vec<u32>,
-    acc_samples: u32,
+    /// Post-burn-in sums (one sample per reconciliation).
+    acc: Accumulator,
 }
 
 impl<'g, 'r> ShardedTrainer<'g, 'r> {
@@ -336,21 +353,20 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         let mut scores = InitScores::new(gaz, &candidacy, &kernel);
         for chunk in reader.chunks() {
             let chunk = chunk?;
-            if config.variant.uses_tweeting() {
-                for m in &chunk.mentions {
-                    support.mark_mention(candidacy.candidates(m.user), m.venue);
-                    scores.mention(m);
-                }
+            let (edges, mentions) =
+                kernel::relationships(config.variant, &chunk.edges, &chunk.mentions);
+            for m in mentions {
+                support.mark_mention(candidacy.candidates(m.user), m.venue);
+                scores.mention(m, &registered);
             }
-            if config.variant.uses_following() {
-                for e in &chunk.edges {
-                    scores.edge(e, &registered);
-                }
+            for e in edges {
+                scores.edge(e, &registered);
             }
         }
         // Allocated before the scores are freed: that free raises glibc's mmap
         // threshold and would pin these arenas on the heap (+10–20 MiB peak).
-        let (counts, acc) = (Counts::new(&candidacy, &support), vec![0; candidacy.num_slots()]);
+        let counts = Counts::new(&candidacy, &support);
+        let acc = Accumulator::new(&counts);
         let modes = scores.modes(&registered);
 
         Ok(Self {
@@ -366,7 +382,6 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             modes,
             counts,
             acc,
-            acc_samples: 0,
         })
     }
 
@@ -374,55 +389,21 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         self.scratch.join(format!("shard-{shard:04}.spill"))
     }
 
-    /// Initialises one shard's assignments (mode-biased, mirroring
-    /// `GibbsSampler::init_assignments`), applies their counts to the
-    /// global arenas, and spills them.
+    /// Initialises one shard's assignments with the shared initial draws
+    /// and count build, chunk by chunk on the shard's one init stream,
+    /// and spills them.
     fn init_shard(&mut self, shard: usize) -> Result<(), TrainError> {
         let mut rng =
             Pcg64::new(SplitMix64::derive(self.config.seed, PHASE_SHARD_INIT | shard as u64));
-        let count_noisy = self.config.count_noisy_assignments;
+        let (config, candidacy) = (&self.config, &self.candidacy);
+        let (variant, count_noisy) = (config.variant, config.count_noisy_assignments);
         let mut asg = ShardAssignments::default();
         for ci in self.shards[shard].clone() {
             let chunk = self.reader.read_chunk(ci)?;
-            let pos = |rng: &mut Pcg64, user: UserId, modes: &[Option<u32>]| -> usize {
-                let len = self.candidacy.candidates(user).len();
-                kernel::init_position(rng, modes[user.index()].map(|m| m as usize), len)
-            };
-            if self.config.variant.uses_following() {
-                for e in &chunk.edges {
-                    let mu = rng.bernoulli(self.config.rho_f);
-                    let x = pos(&mut rng, e.follower, &self.modes);
-                    let y = pos(&mut rng, e.friend, &self.modes);
-                    if !mu || count_noisy {
-                        self.counts.add_user(e.follower, x);
-                        self.counts.add_user(e.friend, y);
-                    }
-                    asg.mu.push(mu);
-                    asg.x.push(x as u16);
-                    asg.y.push(y as u16);
-                }
-            } else {
-                asg.mu.resize(asg.mu.len() + chunk.edges.len(), false);
-                asg.x.resize(asg.x.len() + chunk.edges.len(), 0);
-                asg.y.resize(asg.y.len() + chunk.edges.len(), 0);
-            }
-            if self.config.variant.uses_tweeting() {
-                for m in &chunk.mentions {
-                    let nu = rng.bernoulli(self.config.rho_t);
-                    let z = pos(&mut rng, m.user, &self.modes);
-                    if !nu || count_noisy {
-                        self.counts.add_user(m.user, z);
-                    }
-                    if !nu {
-                        self.counts.add_venue(self.candidacy.candidates(m.user)[z], m.venue);
-                    }
-                    asg.nu.push(nu);
-                    asg.z.push(z as u16);
-                }
-            } else {
-                asg.nu.resize(asg.nu.len() + chunk.mentions.len(), false);
-                asg.z.resize(asg.z.len() + chunk.mentions.len(), 0);
-            }
+            let (edges, mentions) = kernel::relationships(variant, &chunk.edges, &chunk.mentions);
+            let mut new = asg.extend(edges.len(), mentions.len());
+            kernel::init_draws(config, candidacy, &self.modes, &mut rng, edges, mentions, &mut new);
+            self.counts.add_assigned(candidacy, edges, mentions, &new, count_noisy);
         }
         std::fs::write(self.spill_path(shard), asg.encode())?;
         Ok(())
@@ -453,21 +434,18 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             config: &self.config,
             kernel: &self.kernel,
         };
-        let uses_following = self.config.variant.uses_following();
-        let uses_tweeting = self.config.variant.uses_tweeting();
-        let mut buf = Vec::new();
-
+        let (variant, mut buf) = (self.config.variant, Vec::new());
         for local in 0..local_sweeps {
             let mut rng = Pcg64::new(SplitMix64::derive(
                 self.config.seed,
                 PHASE_SHARD_SWEEP ^ (super_sweep << 28) ^ ((shard as u64) << 14) ^ local as u64,
             ));
             // The assignment vectors are flat over the shard's chunks in
-            // stream order; an unused relationship type's stay untouched.
+            // stream order.
             let mut rest = asg.slices();
             for chunk in &chunks {
-                let edges = if uses_following { chunk.edges.as_slice() } else { &[] };
-                let mentions = if uses_tweeting { chunk.mentions.as_slice() } else { &[] };
+                let (edges, mentions) =
+                    kernel::relationships(variant, &chunk.edges, &chunk.mentions);
                 let (head, tail) = rest.split_at(edges.len(), mentions.len());
                 kernel::sweep(&view, &mut counts, edges, mentions, head, &mut rng, &mut buf);
                 rest = tail;
@@ -499,10 +477,7 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
             super_sweep += 1;
             if sweeps_done > burn_in {
                 // One thinned posterior sample per reconciliation.
-                for (a, &c) in self.acc.iter_mut().zip(self.counts.user_values()) {
-                    *a += c;
-                }
-                self.acc_samples += 1;
+                self.acc.add(&self.counts);
             }
         }
 
@@ -512,49 +487,18 @@ impl<'g, 'r> ShardedTrainer<'g, 'r> {
         }
         std::fs::remove_dir(&self.scratch).ok();
 
-        Ok(self.freeze())
-    }
-
-    /// Mean post-burn-in count for `(u, c)` — live counts when no sample
-    /// was accumulated yet (same fallback as `SamplerState`).
-    fn mean_count(&self, u: UserId, c: usize) -> f64 {
-        if self.acc_samples == 0 {
-            self.counts.user_count(u, c) as f64
-        } else {
-            self.acc[self.candidacy.slot(u, c)] as f64 / self.acc_samples as f64
-        }
-    }
-
-    /// Freezes the trained posterior: the users' posteriors as
-    /// [`PosteriorSnapshot::freeze`] extracts them from a trained sampler,
-    /// then the same assembly.
-    fn freeze(&self) -> PosteriorSnapshot {
-        let n = self.candidacy.num_users();
-        let users = UserArena::from_users((0..n).map(|u| {
-            let user = UserId(u as u32);
-            let candidates = self.candidacy.candidates(user).to_vec();
-            let gammas = self.candidacy.gammas(user).to_vec();
-            let gamma_total = self.candidacy.gamma_total(user);
-            let mean_counts: Vec<f64> =
-                (0..candidates.len()).map(|c| self.mean_count(user, c)).collect();
-            let mean_total: f64 = mean_counts.iter().sum();
-            // θ̂ argmax (Eq. 10) with the sampler's tie-break: higher
-            // probability first, then lower city id.
-            let total = gamma_total + mean_total;
-            let home = candidates
-                .iter()
-                .zip(&mean_counts)
-                .zip(&gammas)
-                .map(|((&c, &m), &g)| (c, (m + g) / total))
-                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-                .map(|(c, _)| c)
-                .expect("candidate lists are non-empty");
-            UserPosterior { home, gamma_total, candidates, gammas, mean_counts, mean_total }
-        }));
-
+        let mean = |u, c| self.acc.mean(&self.counts, self.counts.slot(u, c));
         let venue_row = |l| self.counts.venues().row(l);
-        let law = self.kernel.law();
-        PosteriorSnapshot::assemble(self.gaz, &self.config, law, &self.random, users, venue_row)
+        let (gaz, config, law) = (self.gaz, &self.config, self.kernel.law());
+        Ok(PosteriorSnapshot::assemble(
+            gaz,
+            config,
+            law,
+            &self.random,
+            &self.candidacy,
+            mean,
+            venue_row,
+        ))
     }
 }
 
@@ -582,4 +526,33 @@ fn validate_chunk(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sampler::tests::Fixture;
+
+    #[test]
+    fn init_draws_chunk_by_chunk_match_one_call() {
+        let f = Fixture::new(120, 41, MlpConfig::default());
+        let (edges, mentions) = (&f.dataset.edges[..], &f.dataset.mentions[..]);
+        let modes: Vec<_> = (0..f.dataset.num_users()).map(|u| (u % 2 == 0).then_some(0)).collect();
+        let draws = |pieces: &[(Range<usize>, Range<usize>)]| {
+            let (mut asg, mut rng) = (ShardAssignments::default(), Pcg64::new(7));
+            for (er, mr) in pieces {
+                let (e, m) = (&edges[er.clone()], &mentions[mr.clone()]);
+                let mut new = asg.extend(e.len(), m.len());
+                kernel::init_draws(&f.config, &f.cand, &modes, &mut rng, e, m, &mut new);
+            }
+            asg
+        };
+        let (s, k) = (edges.len(), mentions.len());
+        let whole = draws(&[(0..s, 0..k)]);
+        // Chunk-shaped pieces on one stream: edges, then edges and
+        // mentions, then mentions — the order one call draws in.
+        let chunked = draws(&[(0..s / 3, 0..0), (s / 3..s, 0..k / 2), (s..s, k / 2..k)]);
+        assert_eq!(whole.encode(), chunked.encode());
+        assert!(whole.mu.iter().any(|&mu| mu) && whole.z.iter().any(|&z| z > 0));
+    }
 }

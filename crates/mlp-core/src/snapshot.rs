@@ -33,8 +33,10 @@
 //! final section, which always holds a zero `u32` record count; a
 //! non-zero count (an artifact written by an older build) fails typed.
 
+use crate::candidacy::Candidacy;
 use crate::config::{MlpConfig, Variant};
 use crate::count_store::VenueRow;
+use crate::kernel;
 use crate::random_models::RandomModels;
 use crate::sampler::GibbsSampler;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -893,44 +895,48 @@ impl PosteriorSnapshot {
     /// `ϕ̄` uses the accumulated means, `φ` the final venue counts, and the
     /// power law whatever Gibbs-EM left behind.
     pub fn freeze(sampler: &GibbsSampler<'_>) -> Self {
-        let gaz = sampler.gazetteer();
-        let candidacy = sampler.candidacy();
-        let config = sampler.config();
-        let n = sampler.dataset().num_users();
-
-        let users = UserArena::from_users((0..n).map(|u| {
-            let user = UserId(u as u32);
-            let candidates = candidacy.candidates(user).to_vec();
-            let gammas = candidacy.gammas(user).to_vec();
-            let mean_counts: Vec<f64> =
-                (0..candidates.len()).map(|c| sampler.state.mean_user_count(user, c)).collect();
-            let mean_total = mean_counts.iter().sum();
-            UserPosterior {
-                home: sampler.estimate_theta(user)[0].0,
-                gamma_total: candidacy.gamma_total(user),
-                candidates,
-                gammas,
-                mean_counts,
-                mean_total,
-            }
-        }));
-
-        let venue_row = |l| sampler.state.venue_count_row(l);
-        let random = sampler.random_models();
-        Self::assemble(gaz, config, sampler.power_law, random, users, venue_row)
+        Self::assemble(
+            sampler.gazetteer(),
+            sampler.config(),
+            sampler.power_law,
+            sampler.random_models(),
+            sampler.candidacy(),
+            |u, c| sampler.state.mean_user_count(u, c),
+            |l| sampler.state.venue_count_row(l),
+        )
     }
 
-    /// Assembles a trained chain's snapshot from its users' posteriors, its
-    /// `φ` rows, and the hyper-parameters, power law and random models it
-    /// ran under. Both trainers freeze through here.
+    /// Assembles a trained chain's snapshot — the one freeze of both
+    /// trainers. Every user's posterior is their candidacy row with the
+    /// mean counts `mean(user, c)` and the home [`kernel::argmax_city`]
+    /// picks over their [`kernel::theta`]; `φ` comes from the chain's
+    /// `venue_row`s, beside the hyper-parameters, power law and random
+    /// models it ran under.
     pub(crate) fn assemble<'v>(
         gaz: &Gazetteer,
         config: &MlpConfig,
         power_law: PowerLaw,
         random: &RandomModels,
-        users: UserArena,
+        candidacy: &Candidacy,
+        mean: impl Fn(UserId, usize) -> f64,
         venue_row: impl Fn(CityId) -> VenueRow<'v>,
     ) -> Self {
+        let users = UserArena::from_users((0..candidacy.num_users()).map(|u| {
+            let user = UserId(u as u32);
+            let candidates = candidacy.candidates(user).to_vec();
+            let gammas = candidacy.gammas(user).to_vec();
+            let gamma_total = candidacy.gamma_total(user);
+            let mean_counts: Vec<f64> = (0..candidates.len()).map(|c| mean(user, c)).collect();
+            let theta = kernel::theta(&gammas, gamma_total, |c| mean_counts[c]);
+            UserPosterior {
+                home: kernel::argmax_city(&candidates, theta),
+                mean_total: mean_counts.iter().sum(),
+                gamma_total,
+                candidates,
+                gammas,
+                mean_counts,
+            }
+        }));
         // The CSR store rows already iterate non-zero entries in venue-id
         // order, so the arena packs straight off the live store — no
         // intermediate maps, no sorting.
@@ -1776,7 +1782,6 @@ pub fn inspect_artifact(s: &[u8]) -> Result<ArtifactInfo, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidacy::Candidacy;
     use crate::config::MlpConfig;
     use crate::random_models::RandomModels;
     use mlp_gazetteer::Gazetteer;

@@ -27,14 +27,17 @@
 //! out-of-core trainer ([`crate::shard`]) both merge a shard back with
 //! the one reconciliation, `Counts::reconcile`.
 //!
-//! Post-burn-in sweeps are accumulated separately so the final `θ̂` (Eq. 10)
-//! averages over the posterior instead of trusting one sample.
+//! Both trainers build their counts from the initial draws with the one
+//! `Counts::add_assigned`, and average post-burn-in samples of `ϕ` with
+//! the one `Accumulator` over the same slot space, so the final `θ̂`
+//! (Eq. 10) averages over the posterior instead of trusting one sample.
 
 use crate::candidacy::Candidacy;
+use crate::config::MlpConfig;
 use crate::count_store::{add_deltas, VenueCountStore, VenueRow, VenueSupport};
-use crate::kernel::{CountStore, CountView};
+use crate::kernel::{self, CountStore, CountView};
 use mlp_gazetteer::{CityId, VenueId};
-use mlp_social::{Csr, Dataset, UserId};
+use mlp_social::{Csr, Dataset, FollowEdge, TweetMention, UserId};
 
 /// Mutable sampler state.
 #[derive(Debug, Clone)]
@@ -52,11 +55,8 @@ pub struct SamplerState {
 
     /// The live ϕ/φ counts.
     counts: Counts,
-
-    /// Post-burn-in accumulation of the ϕ rows (same row layout).
-    acc_user_counts: Csr<u64>,
-    /// Number of accumulated sweeps.
-    acc_sweeps: u32,
+    /// Post-burn-in sums of the ϕ counts.
+    acc: Accumulator,
 }
 
 /// Mutable slices of the assignment vectors one sweep rewrites: edges'
@@ -103,48 +103,22 @@ impl SamplerState {
         for m in &dataset.mentions {
             support.mark_mention(candidacy.candidates(m.user), m.venue);
         }
-        let row_lens =
-            (0..dataset.num_users()).map(|u| candidacy.candidates(UserId(u as u32)).len());
+        let counts = Counts::new(candidacy, &support);
         Self {
             mu: vec![false; dataset.num_edges()],
             x: vec![0; dataset.num_edges()],
             y: vec![0; dataset.num_edges()],
             nu: vec![false; dataset.num_mentions()],
             z: vec![0; dataset.num_mentions()],
-            counts: Counts::new(candidacy, &support),
-            acc_user_counts: Csr::with_row_lens(row_lens),
-            acc_sweeps: 0,
+            acc: Accumulator::new(&counts),
+            counts,
         }
-    }
-
-    /// ϕ count of user `u` at candidate index `c`.
-    #[inline]
-    pub fn user_count(&self, u: UserId, c: usize) -> u32 {
-        self.counts.user_count(u, c)
-    }
-
-    /// The whole ϕ row of user `u`.
-    #[inline]
-    pub fn user_count_row(&self, u: UserId) -> &[u32] {
-        self.counts.users.row(u.index())
-    }
-
-    /// Σ_l ϕ_{u,l}.
-    #[inline]
-    pub fn user_total(&self, u: UserId) -> u32 {
-        self.counts.user_total(u)
     }
 
     /// φ_{l,v}.
     #[inline]
     pub fn venue_count(&self, l: CityId, v: VenueId) -> u32 {
         self.counts.venues.get(l, v)
-    }
-
-    /// Σ_v φ_{l,v}.
-    #[inline]
-    pub fn city_total(&self, l: CityId) -> u32 {
-        self.counts.venues.total(l)
     }
 
     /// The non-zero `(venue, count)` entries of city `l`'s φ row, ascending
@@ -155,39 +129,9 @@ impl SamplerState {
         self.counts.venues.row(l)
     }
 
-    /// Adds one assignment of user `u` to candidate index `c`.
-    #[inline]
-    pub fn add_user(&mut self, u: UserId, c: usize) {
-        self.counts.add_user(u, c);
-    }
-
-    /// Removes one assignment of user `u` from candidate index `c`.
-    #[inline]
-    pub fn remove_user(&mut self, u: UserId, c: usize) {
-        self.counts.remove_user(u, c);
-    }
-
-    /// Adds one venue token `v` at city `l`.
-    #[inline]
-    pub fn add_venue(&mut self, l: CityId, v: VenueId) {
-        self.counts.add_venue(l, v);
-    }
-
-    /// Removes one venue token `v` from city `l`.
-    #[inline]
-    pub fn remove_venue(&mut self, l: CityId, v: VenueId) {
-        self.counts.remove_venue(l, v);
-    }
-
-    /// Size of the flat ϕ arena (codomain of [`Self::user_slot`]).
-    pub fn num_user_slots(&self) -> usize {
-        self.counts.users.num_values()
-    }
-
-    /// Flat arena index of `(u, c)`.
-    #[inline]
-    pub fn user_slot(&self, u: UserId, c: usize) -> usize {
-        self.counts.users.slot(u.index(), c)
+    /// The live counts.
+    pub(crate) fn counts(&self) -> &Counts {
+        &self.counts
     }
 
     /// The live counts beside the assignment vectors, borrowed apart so a
@@ -205,60 +149,25 @@ impl SamplerState {
 
     /// Folds the current sweep's user counts into the accumulator.
     pub fn accumulate(&mut self) {
-        let counts = self.counts.users.values();
-        for (a, &c) in self.acc_user_counts.values_mut().iter_mut().zip(counts) {
-            *a += c as u64;
-        }
-        self.acc_sweeps += 1;
-    }
-
-    /// Number of accumulated sweeps.
-    pub fn accumulated_sweeps(&self) -> u32 {
-        self.acc_sweeps
+        self.acc.add(&self.counts);
     }
 
     /// Mean accumulated count for user `u` at candidate `c` — falls back to
     /// the live count when nothing has been accumulated yet.
     #[inline]
     pub fn mean_user_count(&self, u: UserId, c: usize) -> f64 {
-        if self.acc_sweeps == 0 {
-            self.counts.user_count(u, c) as f64
-        } else {
-            self.acc_user_counts.row(u.index())[c] as f64 / self.acc_sweeps as f64
-        }
+        self.acc.mean(&self.counts, self.counts.slot(u, c))
     }
 
-    /// Rebuilds all counts from the current assignment vectors — used after
-    /// initialisation randomises the assignments.
-    pub fn rebuild_counts(
-        &mut self,
-        dataset: &Dataset,
-        candidacy: &Candidacy,
-        count_noisy: bool,
-        uses_following: bool,
-        uses_tweeting: bool,
-    ) {
-        self.counts.clear();
-
-        if uses_following {
-            for (s, e) in dataset.edges.iter().enumerate() {
-                if !self.mu[s] || count_noisy {
-                    self.add_user(e.follower, self.x[s] as usize);
-                    self.add_user(e.friend, self.y[s] as usize);
-                }
-            }
-        }
-        if uses_tweeting {
-            for (k, m) in dataset.mentions.iter().enumerate() {
-                if !self.nu[k] || count_noisy {
-                    self.add_user(m.user, self.z[k] as usize);
-                }
-                if !self.nu[k] {
-                    let city = candidacy.candidates(m.user)[self.z[k] as usize];
-                    self.add_venue(city, m.venue);
-                }
-            }
-        }
+    /// Rebuilds all counts from the current assignments of the
+    /// relationships `config`'s chain samples.
+    pub fn rebuild_counts(&mut self, dataset: &Dataset, candidacy: &Candidacy, config: &MlpConfig) {
+        let (edges, mentions) =
+            kernel::relationships(config.variant, &dataset.edges, &dataset.mentions);
+        let (counts, asg) = self.parts_mut();
+        let (asg, _) = asg.split_at(edges.len(), mentions.len());
+        counts.clear();
+        counts.add_assigned(candidacy, edges, mentions, &asg, config.count_noisy_assignments);
     }
 
     /// Verifies that counts equal a fresh rebuild — the core invariant the
@@ -267,52 +176,18 @@ impl SamplerState {
         &self,
         dataset: &Dataset,
         candidacy: &Candidacy,
-        count_noisy: bool,
-        uses_following: bool,
-        uses_tweeting: bool,
+        config: &MlpConfig,
     ) -> Result<(), String> {
         let mut fresh = self.clone();
-        fresh.rebuild_counts(dataset, candidacy, count_noisy, uses_following, uses_tweeting);
-        if fresh.counts.users != self.counts.users {
-            return Err("user counts diverged from assignments".into());
-        }
-        if fresh.counts.totals != self.counts.totals {
-            return Err("user totals diverged".into());
-        }
-        if fresh.counts.venues != self.counts.venues {
-            return Err("venue counts (or city totals) diverged".into());
-        }
-        Ok(())
-    }
-}
-
-/// The live state is its own count view: the sweep removes the current
-/// relationship's contribution before evaluating conditionals.
-impl CountView for SamplerState {
-    #[inline]
-    fn user_count(&self, u: UserId, c: usize) -> f64 {
-        CountView::user_count(&self.counts, u, c)
-    }
-
-    #[inline]
-    fn user_total(&self, u: UserId) -> f64 {
-        CountView::user_total(&self.counts, u)
-    }
-
-    #[inline]
-    fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
-        CountView::venue_count(&self.counts, l, v)
-    }
-
-    #[inline]
-    fn city_total(&self, l: CityId) -> f64 {
-        CountView::city_total(&self.counts, l)
+        fresh.rebuild_counts(dataset, candidacy, config);
+        let diverged = "ϕ counts, their totals or φ diverged from the assignments";
+        (fresh.counts == self.counts).then_some(()).ok_or_else(|| diverged.into())
     }
 }
 
 /// One chain's collapsed counts: the ϕ rows aligned with the candidate
 /// lists, their per-user totals, and φ.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Counts {
     users: Csr<u32>,
     totals: Vec<u32>,
@@ -329,21 +204,11 @@ impl Counts {
         Self { users, totals: vec![0; n], venues: VenueCountStore::build(support) }
     }
 
-    /// ϕ count of user `u` at candidate index `c`.
+    /// Flat arena index of `(u, c)` — the slot space [`Accumulator`]
+    /// averages over.
     #[inline]
-    pub(crate) fn user_count(&self, u: UserId, c: usize) -> u32 {
-        self.users.row(u.index())[c]
-    }
-
-    /// Σ_l ϕ_{u,l}.
-    #[inline]
-    pub(crate) fn user_total(&self, u: UserId) -> u32 {
-        self.totals[u.index()]
-    }
-
-    /// The flat ϕ slab, in the candidacy's slot order.
-    pub(crate) fn user_values(&self) -> &[u32] {
-        self.users.values()
+    pub(crate) fn slot(&self, u: UserId, c: usize) -> usize {
+        self.users.slot(u.index(), c)
     }
 
     /// The φ store.
@@ -356,6 +221,37 @@ impl Counts {
         self.users.values_mut().fill(0);
         self.totals.fill(0);
         self.venues.clear();
+    }
+
+    /// Adds the draws `asg` holds for `edges` and `mentions` — the one
+    /// count build of both trainers after their initial draws. A
+    /// location-based draw counts its users' assignments and, for a
+    /// mention, its venue at the assigned city; a noisy draw counts its
+    /// users' assignments only under `count_noisy`.
+    pub(crate) fn add_assigned(
+        &mut self,
+        candidacy: &Candidacy,
+        edges: &[FollowEdge],
+        mentions: &[TweetMention],
+        asg: &Assignments<'_>,
+        count_noisy: bool,
+    ) {
+        assert!(asg.mu.len() == edges.len() && asg.nu.len() == mentions.len());
+        for (s, e) in edges.iter().enumerate() {
+            if !asg.mu[s] || count_noisy {
+                self.add_user(e.follower, asg.x[s] as usize);
+                self.add_user(e.friend, asg.y[s] as usize);
+            }
+        }
+        for (k, m) in mentions.iter().enumerate() {
+            let z = asg.z[k] as usize;
+            if !asg.nu[k] || count_noisy {
+                self.add_user(m.user, z);
+            }
+            if !asg.nu[k] {
+                self.add_venue(candidacy.candidates(m.user)[z], m.venue);
+            }
+        }
     }
 
     /// Merges one shard's deltas, index by index — the reconciliation
@@ -373,12 +269,12 @@ impl Counts {
 impl CountView for Counts {
     #[inline]
     fn user_count(&self, u: UserId, c: usize) -> f64 {
-        Counts::user_count(self, u, c) as f64
+        self.users.row(u.index())[c] as f64
     }
 
     #[inline]
     fn user_total(&self, u: UserId) -> f64 {
-        Counts::user_total(self, u) as f64
+        self.totals[u.index()] as f64
     }
 
     #[inline]
@@ -415,6 +311,41 @@ impl CountStore for Counts {
     #[inline]
     fn remove_venue(&mut self, l: CityId, v: VenueId) {
         self.venues.remove(l, v);
+    }
+}
+
+/// The post-burn-in average of a chain's ϕ counts, Eq. 10's `ϕ̄`: one
+/// running sum per slot of the chain's [`Counts`] and the number of
+/// samples summed. `u64` sums keep count × samples from overflowing.
+#[derive(Debug, Clone)]
+pub(crate) struct Accumulator {
+    sums: Vec<u64>,
+    samples: u32,
+}
+
+impl Accumulator {
+    /// An empty accumulator over `counts`' slot space.
+    pub(crate) fn new(counts: &Counts) -> Self {
+        Self { sums: vec![0; counts.users.num_values()], samples: 0 }
+    }
+
+    /// Adds one sample: every ϕ count of `counts`.
+    pub(crate) fn add(&mut self, counts: &Counts) {
+        for (sum, &c) in self.sums.iter_mut().zip(counts.users.values()) {
+            *sum += c as u64;
+        }
+        self.samples += 1;
+    }
+
+    /// The mean count at `slot`, or `counts`' live count there while no
+    /// sample has been added.
+    #[inline]
+    pub(crate) fn mean(&self, counts: &Counts, slot: usize) -> f64 {
+        if self.samples == 0 {
+            counts.users.values()[slot] as f64
+        } else {
+            self.sums[slot] as f64 / self.samples as f64
+        }
     }
 }
 
@@ -532,7 +463,6 @@ impl CountStore for ShardCounts<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MlpConfig;
     use mlp_gazetteer::Gazetteer;
     use mlp_social::{Adjacency, FollowEdge, TweetMention};
 
@@ -556,45 +486,50 @@ mod tests {
         SamplerState::new(d, cand, gaz.num_cities(), gaz.num_venues())
     }
 
+    /// `counts`' ϕ row of user `u`, read through the kernel's view.
+    fn user_row(counts: &impl CountView, cand: &Candidacy, u: UserId) -> Vec<f64> {
+        (0..cand.candidates(u).len()).map(|c| counts.user_count(u, c)).collect()
+    }
+
     #[test]
     fn add_remove_round_trip() {
         let (gaz, d, cand) = fixture();
-        let mut st = state_for(&gaz, &d, &cand);
+        let mut counts = state_for(&gaz, &d, &cand).counts;
         let u = UserId(0);
-        st.add_user(u, 1);
-        st.add_user(u, 1);
-        st.add_user(u, 0);
-        assert_eq!(st.user_count(u, 1), 2);
-        assert_eq!(st.user_total(u), 3);
-        st.remove_user(u, 1);
-        assert_eq!(st.user_count(u, 1), 1);
-        assert_eq!(st.user_total(u), 2);
+        counts.add_user(u, 1);
+        counts.add_user(u, 1);
+        counts.add_user(u, 0);
+        assert_eq!(CountView::user_count(&counts, u, 1), 2.0);
+        assert_eq!(CountView::user_total(&counts, u), 3.0);
+        counts.remove_user(u, 1);
+        assert_eq!(CountView::user_count(&counts, u, 1), 1.0);
+        assert_eq!(CountView::user_total(&counts, u), 2.0);
     }
 
     #[test]
     fn venue_counts_round_trip() {
         let (gaz, d, cand) = fixture();
-        let mut st = state_for(&gaz, &d, &cand);
+        let mut counts = state_for(&gaz, &d, &cand).counts;
         let austin = gaz.city_by_name_state("austin", "TX").unwrap();
         let v = gaz.venue_by_name("austin").unwrap();
-        st.add_venue(austin, v);
-        st.add_venue(austin, v);
-        assert_eq!(st.venue_count(austin, v), 2);
-        assert_eq!(st.city_total(austin), 2);
-        assert_eq!(st.venue_count_row(austin).collect::<Vec<_>>(), vec![(v.0, 2)]);
-        st.remove_venue(austin, v);
-        st.remove_venue(austin, v);
-        assert_eq!(st.venue_count(austin, v), 0);
-        assert_eq!(st.city_total(austin), 0);
-        assert!(st.venue_count_row(austin).next().is_none());
+        counts.add_venue(austin, v);
+        counts.add_venue(austin, v);
+        assert_eq!(counts.venue_count(austin, v), 2.0);
+        assert_eq!(counts.city_total(austin), 2.0);
+        assert_eq!(counts.venues().row(austin).collect::<Vec<_>>(), vec![(v.0, 2)]);
+        counts.remove_venue(austin, v);
+        counts.remove_venue(austin, v);
+        assert_eq!(counts.venue_count(austin, v), 0.0);
+        assert_eq!(counts.city_total(austin), 0.0);
+        assert!(counts.venues().row(austin).next().is_none());
     }
 
     #[test]
     #[should_panic(expected = "removing venue that was never added")]
     fn removing_absent_venue_panics() {
         let (gaz, d, cand) = fixture();
-        let mut st = state_for(&gaz, &d, &cand);
-        st.remove_venue(CityId(0), VenueId(0));
+        let mut counts = state_for(&gaz, &d, &cand).counts;
+        counts.remove_venue(CityId(0), VenueId(0));
     }
 
     #[test]
@@ -607,15 +542,16 @@ mod tests {
         st.y = vec![1, 0];
         st.nu = vec![false];
         st.z = vec![0];
-        st.rebuild_counts(&d, &cand, false, true, true);
-        assert!(st.check_consistency(&d, &cand, false, true, true).is_ok());
+        st.rebuild_counts(&d, &cand, &MlpConfig::default());
+        assert!(st.check_consistency(&d, &cand, &MlpConfig::default()).is_ok());
         // Edge 0 contributes follower 0 @0 and friend 1 @1; noisy edge 1
         // contributes nothing; mention adds user 0 @0 again.
-        assert_eq!(st.user_count(UserId(0), 0), 2);
-        assert_eq!(st.user_count(UserId(1), 1), 1);
-        assert_eq!(st.user_total(UserId(2)), 0);
+        let counts = &st.counts;
+        assert_eq!(CountView::user_count(counts, UserId(0), 0), 2.0);
+        assert_eq!(CountView::user_count(counts, UserId(1), 1), 1.0);
+        assert_eq!(CountView::user_total(counts, UserId(2)), 0.0);
         let city0 = cand.candidates(UserId(0))[0];
-        assert_eq!(st.city_total(city0), 1);
+        assert_eq!(counts.city_total(city0), 1.0);
     }
 
     #[test]
@@ -624,14 +560,16 @@ mod tests {
         let mut st = state_for(&gaz, &d, &cand);
         st.mu = vec![true, true];
         st.nu = vec![true];
-        st.rebuild_counts(&d, &cand, true, true, true);
+        let count_noisy = MlpConfig { count_noisy_assignments: true, ..Default::default() };
+        st.rebuild_counts(&d, &cand, &count_noisy);
         // Every edge endpoint + mention contributes despite noise flags.
-        assert_eq!(st.user_total(UserId(0)), 3); // follower of e0, friend of e1, mention
-        assert_eq!(st.user_total(UserId(1)), 1);
-        assert_eq!(st.user_total(UserId(2)), 1);
+        let counts = &st.counts;
+        assert_eq!(CountView::user_total(counts, UserId(0)), 3.0); // follower of e0, friend of e1, mention
+        assert_eq!(CountView::user_total(counts, UserId(1)), 1.0);
+        assert_eq!(CountView::user_total(counts, UserId(2)), 1.0);
         // But venue counts still exclude noisy mentions.
         let city0 = cand.candidates(UserId(0))[0];
-        assert_eq!(st.city_total(city0), 0);
+        assert_eq!(counts.city_total(city0), 0.0);
     }
 
     #[test]
@@ -639,31 +577,34 @@ mod tests {
         let (gaz, d, cand) = fixture();
         let mut st = state_for(&gaz, &d, &cand);
         let u = UserId(0);
-        st.add_user(u, 0);
+        st.counts.add_user(u, 0);
         st.accumulate();
-        st.add_user(u, 0);
+        st.counts.add_user(u, 0);
         st.accumulate();
-        assert_eq!(st.accumulated_sweeps(), 2);
+        assert_eq!(st.acc.samples, 2);
         assert!((st.mean_user_count(u, 0) - 1.5).abs() < 1e-12);
         // Fallback to live counts before any accumulation.
-        let st2 = state_for(&gaz, &d, &cand);
+        let mut st2 = state_for(&gaz, &d, &cand);
         assert_eq!(st2.mean_user_count(u, 0), 0.0);
+        st2.counts.add_user(u, 0);
+        assert_eq!(st2.mean_user_count(u, 0), 1.0);
     }
 
     #[test]
     fn consistency_detects_corruption() {
         let (gaz, d, cand) = fixture();
         let mut st = state_for(&gaz, &d, &cand);
-        st.rebuild_counts(&d, &cand, false, true, true);
-        st.add_user(UserId(0), 0); // corrupt
-        assert!(st.check_consistency(&d, &cand, false, true, true).is_err());
+        st.rebuild_counts(&d, &cand, &MlpConfig::default());
+        st.counts.add_user(UserId(0), 0); // corrupt
+        assert!(st.check_consistency(&d, &cand, &MlpConfig::default()).is_err());
     }
 
     #[test]
     fn shard_deltas_reconcile_to_incremental_updates() {
         let (gaz, d, cand) = fixture();
-        let mut incremental = state_for(&gaz, &d, &cand);
-        incremental.rebuild_counts(&d, &cand, false, true, true);
+        let mut st = state_for(&gaz, &d, &cand);
+        st.rebuild_counts(&d, &cand, &MlpConfig::default());
+        let mut incremental = st.counts;
         let mut merged = incremental.clone();
         let u = UserId(0);
         let city = cand.candidates(u)[0];
@@ -676,8 +617,7 @@ mod tests {
         incremental.add_venue(city, v);
         incremental.add_venue(city, v);
 
-        let (counts, _) = merged.parts_mut();
-        let mut shard = ShardCounts::new(counts);
+        let mut shard = ShardCounts::new(&merged);
         shard.add_user(u, 1);
         shard.add_user(u, 1);
         shard.remove_user(u, 0);
@@ -685,18 +625,15 @@ mod tests {
         shard.add_venue(city, v);
         shard.add_venue(city, v);
         // The shard reads its own updates on top of the frozen counts.
-        for c in 0..2 {
-            let expect = incremental.user_count(u, c) as f64;
-            assert_eq!(CountView::user_count(&shard, u, c), expect);
-        }
-        assert_eq!(CountView::user_total(&shard, u), incremental.user_total(u) as f64);
-        assert_eq!(shard.venue_count(city, v), incremental.venue_count(city, v) as f64);
-        assert_eq!(shard.city_total(city), incremental.city_total(city) as f64);
+        assert_eq!(user_row(&shard, &cand, u), user_row(&incremental, &cand, u));
+        assert_eq!(CountView::user_total(&shard, u), CountView::user_total(&incremental, u));
+        assert_eq!(shard.venue_count(city, v), incremental.venue_count(city, v));
+        assert_eq!(shard.city_total(city), incremental.city_total(city));
 
         let delta = shard.into_delta();
-        counts.reconcile(&delta);
-        assert_eq!(merged.user_count_row(u), incremental.user_count_row(u));
-        assert_eq!(merged.user_total(u), incremental.user_total(u));
+        merged.reconcile(&delta);
+        assert_eq!(user_row(&merged, &cand, u), user_row(&incremental, &cand, u));
+        assert_eq!(CountView::user_total(&merged, u), CountView::user_total(&incremental, u));
         assert_eq!(merged.venue_count(city, v), incremental.venue_count(city, v));
         assert_eq!(merged.city_total(city), incremental.city_total(city));
     }

@@ -34,6 +34,11 @@
 //! killed refresh loses nothing — rerunning it recovers the committed
 //! prefix from the log and carries on from there.
 //!
+//! `mlp-cli --help` (or `help`) prints the usage and exits 0; a bad
+//! command line prints the error and the usage to stderr and exits 1.
+//! Output cut short by its reader (`mlp-cli inspect … | head`) ends the
+//! printing, not the command, which still exits 0.
+//!
 //! `scenario` runs one of the canned event scripts (steady-state,
 //! migration-wave, churn-storm, noise-burst) through the closed
 //! serve → measure → refresh-or-retrain loop and prints the
@@ -44,11 +49,19 @@ use mlp::core::geo_groups::geo_groups;
 use mlp::prelude::*;
 use mlp::social::codec;
 use mlp::social::{Adjacency, DatasetStats, GroundTruth, StreamingGenerator};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let asks_help = |a: &String| a == "--help" || a == "-h";
+    let result = if args.first().is_some_and(|c| c == "help") || args.iter().any(asks_help) {
+        say(format_args!("{USAGE}"))
+    } else {
+        run(&args)
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -57,6 +70,34 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Set once stdout's reader has closed the pipe.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Prints one line to stdout; every line the CLI prints goes through
+/// here. A reader that closes the pipe early (`mlp-cli inspect … | head`)
+/// ends the output, not the run: the rest of the lines are dropped, the
+/// command finishes its work (files it writes still land) and exits 0.
+/// Any other write error fails the command.
+fn say(line: std::fmt::Arguments) -> Result<(), String> {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written.map_err(|e| format!("writing to stdout: {e}")),
+    }
+}
+
+/// `println!` through [`say`], returning its error from the caller.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))?
+    };
 }
 
 const USAGE: &str = "usage:
@@ -168,7 +209,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let bytes = codec::encode(&data.dataset, &data.truth);
             mlp::core::write_atomic(std::path::Path::new(out), bytes.as_slice())
                 .map_err(|e| format!("writing {out}: {e}"))?;
-            println!(
+            say!(
                 "wrote {out}: {} users, {} edges, {} mentions ({} bytes)",
                 data.dataset.num_users(),
                 data.dataset.num_edges(),
@@ -186,7 +227,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let manifest = StreamingGenerator::new(&gaz, config, o.chunk)
                 .write_corpus(std::path::Path::new(out))
                 .map_err(|e| format!("writing corpus {out}: {e}"))?;
-            println!(
+            say!(
                 "wrote {out}: {} users in {} chunks of {} ({} edges, {} mentions)",
                 manifest.num_users,
                 manifest.num_chunks,
@@ -198,24 +239,24 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "stats" => {
             let (dataset, truth) = load(&o)?;
-            println!("{}", DatasetStats::compute(&dataset, &gaz));
-            println!("multi-location users: {}", truth.multi_location_users().len());
+            say!("{}", DatasetStats::compute(&dataset, &gaz));
+            say!("multi-location users: {}", truth.multi_location_users().len());
             Ok(())
         }
         "profile" => {
             let (dataset, truth) = load(&o)?;
             let user = user_id(&o, &dataset)?;
             let result = infer(&gaz, &dataset, &o);
-            println!("user {user}");
-            println!("  inferred profile:");
+            say!("user {user}");
+            say!("  inferred profile:");
             for &(c, p) in result.profiles[user.index()].iter().take(5) {
                 if p > 0.01 {
-                    println!("    {:<25} {:>5.1}%", gaz.city(c).full_name(), p * 100.0);
+                    say!("    {:<25} {:>5.1}%", gaz.city(c).full_name(), p * 100.0);
                 }
             }
             let names: Vec<String> =
                 truth.locations(user).iter().map(|&c| gaz.city(c).full_name()).collect();
-            println!("  generator truth: {}", names.join(" / "));
+            say!("  generator truth: {}", names.join(" / "));
             Ok(())
         }
         "explain" => {
@@ -224,11 +265,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let result = infer(&gaz, &dataset, &o);
             let adj = Adjacency::build(&dataset);
             let grouping = geo_groups(&dataset, &adj, &result, user);
-            println!("user {user}: {} geo groups", grouping.groups.len());
+            say!("user {user}: {} geo groups", grouping.groups.len());
             for g in &grouping.groups {
-                println!("  [{}] {} members", gaz.city(g.location).full_name(), g.members.len());
+                say!("  [{}] {} members", gaz.city(g.location).full_name(), g.members.len());
             }
-            println!("  noisy relationships: {}", grouping.noisy.len());
+            say!("  noisy relationships: {}", grouping.noisy.len());
             Ok(())
         }
         "evaluate" => {
@@ -243,7 +284,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .iter()
                 .filter(|&&u| gaz.distance(result.home(u), truth.home(u)) <= 100.0)
                 .count();
-            println!(
+            say!(
                 "masked-home ACC@100 on fold 0: {:.2}% ({hits}/{})",
                 100.0 * hits as f64 / test_users.len() as f64,
                 test_users.len()
@@ -263,7 +304,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let written =
                     engine.write_artifact(out).map_err(|e| format!("writing {out}: {e}"))?;
                 let snapshot = engine.snapshot();
-                println!(
+                say!(
                     "wrote {out}: posterior of {} users over {} cities \
                      ({written} bytes, {} shard(s), reconcile every {})",
                     snapshot.num_users(),
@@ -288,7 +329,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("training engine: {e}"))?;
             let written = engine.write_artifact(out).map_err(|e| format!("writing {out}: {e}"))?;
             let snapshot = engine.snapshot();
-            println!(
+            say!(
                 "wrote {out}: posterior of {} users over {} cities ({written} bytes)",
                 snapshot.num_users(),
                 snapshot.num_cities,
@@ -305,7 +346,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .from_artifact_file(snap_path)
                 .map_err(|e| format!("loading {snap_path}: {e}"))?;
             if let Some(rec) = engine.recovery_report().filter(|r| r.recovered_anything()) {
-                println!(
+                say!(
                     "recovered {} committed deltas ({} users) from {snap_path}.wal{}",
                     rec.replayed_records,
                     rec.replayed_users,
@@ -329,13 +370,15 @@ fn run(args: &[String]) -> Result<(), String> {
                 .refresh_from_dataset(&dataset, &new_users, o.batch.max(1))
                 .map_err(|e| format!("refresh failed: {e}"))?;
             for commit in &report.commits {
-                println!(
+                say!(
                     "commit {}: +{} users ({} total)",
-                    commit.epoch, commit.appended, commit.total_users
+                    commit.epoch,
+                    commit.appended,
+                    commit.total_users
                 );
             }
             let written = engine.write_artifact(out).map_err(|e| format!("writing {out}: {e}"))?;
-            println!(
+            say!(
                 "wrote {out}: {} users, {} commits folded, {written} bytes{}",
                 engine.snapshot().num_users(),
                 report.commits.len(),
@@ -359,14 +402,14 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             let report =
                 run_scenario(&gaz, script, &config).map_err(|e| format!("scenario {name}: {e}"))?;
-            println!(
+            say!(
                 "scenario {name}: {} users, {} ticks, seed {}",
                 report.initial_users,
                 report.ticks.len(),
                 report.seed
             );
-            println!("{}", report.render_table());
-            println!(
+            say!("{}", report.render_table());
+            say!(
                 "initial ACC@100 {:.4} | final {:.4} | {} refreshes, {} retrains | \
                  events {:#018x} | run {:#018x}",
                 report.initial_acc,
@@ -379,7 +422,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(path) = o.json.as_deref() {
                 std::fs::write(path, report.to_json())
                     .map_err(|e| format!("writing {path}: {e}"))?;
-                println!("wrote {path}");
+                say!("wrote {path}");
             }
             Ok(())
         }
@@ -388,36 +431,43 @@ fn run(args: &[String]) -> Result<(), String> {
             let raw = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
             let info = mlp::core::snapshot::inspect_artifact(&raw)
                 .map_err(|e| format!("inspecting {path}: {e}"))?;
-            println!("{path}: snapshot format v{} ({} bytes)", info.version, info.total_bytes);
-            println!(
+            say!("{path}: snapshot format v{} ({} bytes)", info.version, info.total_bytes);
+            say!(
                 "  {:?} posterior: {} users over {} cities, {} venues",
-                info.variant, info.num_users, info.num_cities, info.num_venues
+                info.variant,
+                info.num_users,
+                info.num_cities,
+                info.num_venues
             );
-            println!(
+            say!(
                 "  slabs: {} user candidate entries, {} venue count entries",
-                info.user_nnz, info.venue_nnz
+                info.user_nnz,
+                info.venue_nnz
             );
-            println!("  gazetteer fingerprint {:016x}", info.gaz_fingerprint);
-            println!("  artifact fingerprint  {:016x}", mlp::core::wal::artifact_fingerprint(&raw));
-            println!("  section table ({} sections, 64-byte aligned):", info.sections.len());
+            say!("  gazetteer fingerprint {:016x}", info.gaz_fingerprint);
+            say!("  artifact fingerprint  {:016x}", mlp::core::wal::artifact_fingerprint(&raw));
+            say!("  section table ({} sections, 64-byte aligned):", info.sections.len());
             for s in &info.sections {
-                println!(
+                say!(
                     "    {:<18} offset {:>12}  len {:>12}  crc {:08x}",
-                    s.name, s.offset, s.len, s.crc
+                    s.name,
+                    s.offset,
+                    s.len,
+                    s.crc
                 );
             }
             let wal_path = format!("{path}.wal");
             match mlp::core::wal::inspect_log(std::path::Path::new(&wal_path))
                 .map_err(|e| format!("reading {wal_path}: {e}"))?
             {
-                None => println!("  sidecar log: none"),
+                None => say!("  sidecar log: none"),
                 Some(w) => {
                     let binding = if w.fingerprint == mlp::core::wal::artifact_fingerprint(&raw) {
                         "bound to this artifact"
                     } else {
                         "STALE: bound to a different base"
                     };
-                    println!(
+                    say!(
                         "  sidecar log: {} committed records, {} bytes ({binding}{})",
                         w.records,
                         w.bytes,
